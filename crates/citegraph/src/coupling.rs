@@ -13,8 +13,9 @@
 
 use crate::graph::CitationGraph;
 
-/// Size of the intersection of two sorted u32 slices.
-fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
+/// Size of the intersection of two sorted, deduplicated u32 slices
+/// (two-pointer merge, no allocation).
+pub fn sorted_intersection_size(a: &[u32], b: &[u32]) -> usize {
     let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {

@@ -14,6 +14,7 @@ use crate::context::{ContextId, ContextPaperSets, ContextSetKind};
 use crate::indexes::CorpusIndex;
 use corpus::{Corpus, PaperId};
 use ontology::Ontology;
+use patterns::matcher::find_match;
 use patterns::{build_patterns, extract_significant_terms, MatcherConfig, Pattern, SectionTokens};
 use std::collections::HashMap;
 
@@ -95,26 +96,22 @@ pub fn build_pattern_sets(
     let contexts: Vec<ContextId> = ontology.term_ids().collect();
 
     // Direct assignment: candidate papers from the inverted index, then
-    // middle-only match strength against the context's patterns.
+    // one middle-only scan of each candidate's sections.
     let direct: Vec<(ContextId, Vec<PaperId>)> =
         crate::parallel_map(config.threads, &contexts, |&context| {
-            let pats = patterns.patterns(context);
             let mut members: Vec<PaperId> = Vec::new();
-            for pat in pats {
-                for paper in index.papers_containing_phrase(corpus, &pat.middle) {
-                    let a = corpus.analyzed(paper);
-                    let sections = SectionTokens {
-                        title: &a.title,
-                        abstract_text: &a.abstract_text,
-                        body: &a.body,
-                        index_terms: &a.index_terms,
-                    };
-                    let strength = patterns::matcher::match_strength(pat, &sections, &matcher);
-                    if strength >= config.assign.pattern_min_strength {
+            let mut scanned = 0u64;
+            for pat in patterns.patterns(context) {
+                for paper in index.phrase_candidates(&pat.middle) {
+                    scanned += 1;
+                    if pattern_match(corpus, paper, pat, &matcher)
+                        .is_some_and(|strength| strength >= config.assign.pattern_min_strength)
+                    {
                         members.push(paper);
                     }
                 }
             }
+            obs::counter("assign.pattern_sets.phrase_candidates", scanned);
             members.sort_unstable();
             members.dedup();
             (context, members)
@@ -164,6 +161,25 @@ pub fn build_pattern_sets(
     let mut sets = ContextPaperSets::new(members, ContextSetKind::PatternBased);
     sets.inherited_from = inherited_from;
     sets
+}
+
+/// One scan of `paper`'s sections for `pattern`'s middle: `None` when
+/// no section contains it, otherwise its match strength (see
+/// [`find_match`]).
+pub(crate) fn pattern_match(
+    corpus: &Corpus,
+    paper: PaperId,
+    pattern: &Pattern,
+    matcher: &MatcherConfig,
+) -> Option<f64> {
+    let a = corpus.analyzed(paper);
+    let sections = SectionTokens {
+        title: &a.title,
+        abstract_text: &a.abstract_text,
+        body: &a.body,
+        index_terms: &a.index_terms,
+    };
+    find_match(pattern, &sections, matcher)
 }
 
 #[cfg(test)]
@@ -272,18 +288,9 @@ mod tests {
         for &p in sets.members(leaf).iter().take(10) {
             let a = corpus.analyzed(p);
             let any_middle = pats.patterns(leaf).iter().any(|pat| {
-                corpus::Section::ALL.iter().any(|&s| {
-                    !textproc::phrase::find_occurrences(
-                        match s {
-                            corpus::Section::Title => &a.title,
-                            corpus::Section::Abstract => &a.abstract_text,
-                            corpus::Section::Body => &a.body,
-                            corpus::Section::IndexTerms => &a.index_terms,
-                        },
-                        &pat.middle,
-                    )
-                    .is_empty()
-                })
+                corpus::Section::ALL
+                    .iter()
+                    .any(|&s| textproc::phrase::contains_phrase(a.section(s), &pat.middle))
             });
             assert!(any_middle, "member {p:?} matches no middle");
         }

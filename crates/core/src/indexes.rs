@@ -1,15 +1,15 @@
 //! Prepared corpus state shared by every stage of the paradigm:
 //! per-section and whole-paper TF-IDF vectors, the inverted index that
 //! backs both the keyword-search baseline and pattern-candidate
-//! generation, the citation graph with a global PageRank, co-author
-//! adjacency, and the analyzed ontology-term names.
+//! generation, the citation graph with a global PageRank, sorted
+//! author and co-author id lists, and the analyzed ontology-term names.
 
 use crate::config::TextSimWeights;
+use citegraph::coupling::sorted_intersection_size;
 use citegraph::{pagerank, CitationGraph, PageRankConfig};
-use corpus::{AuthorId, Corpus, PaperId, Section};
+use corpus::{Corpus, PaperId, Section};
 use ontology::Ontology;
 use patterns::Selectivity;
-use std::collections::{HashMap, HashSet};
 use textproc::index::{DocId, InvertedIndex};
 use textproc::{CandidateScratch, SparseVector, TermId, TfIdfModel};
 
@@ -30,8 +30,11 @@ pub struct CorpusIndex {
     /// Global (whole-corpus) PageRank as a probability distribution
     /// (used by the AC-answer citation expansion's quantile cut).
     pub global_pagerank: Vec<f64>,
-    /// Co-author adjacency (excluding self).
-    pub coauthors: HashMap<AuthorId, HashSet<AuthorId>>,
+    /// Each paper's distinct authors as ascending author rows (see
+    /// [`build_author_lists`]).
+    paper_authors: IdLists,
+    /// Each author row's co-authors (excluding itself), ascending.
+    coauthors: IdLists,
     /// Analyzed term-name tokens per ontology term (corpus vocabulary).
     pub term_name_tokens: Vec<Vec<TermId>>,
     /// Sorted, deduped name tokens per term — the prepared column
@@ -109,18 +112,8 @@ impl CorpusIndex {
             (graph, global_pagerank)
         };
 
-        // Co-authors.
         let _aux = obs::span("index.aux_tables");
-        let mut coauthors: HashMap<AuthorId, HashSet<AuthorId>> = HashMap::new();
-        for p in corpus.papers() {
-            for &a in &p.authors {
-                for &b in &p.authors {
-                    if a != b {
-                        coauthors.entry(a).or_default().insert(b);
-                    }
-                }
-            }
-        }
+        let (paper_authors, coauthors) = build_author_lists(corpus);
 
         // Term names (analyzed against the corpus vocabulary, which
         // interned them at corpus build).
@@ -152,6 +145,7 @@ impl CorpusIndex {
             section_vectors,
             graph,
             global_pagerank,
+            paper_authors,
             coauthors,
             term_name_tokens,
             name_terms_sorted,
@@ -212,65 +206,117 @@ impl CorpusIndex {
         (min_df.max(1.0)) / n
     }
 
-    /// Papers whose analyzed sections contain `phrase` contiguously.
-    /// Candidates come from the postings of the phrase's rarest word;
-    /// contiguity is verified per section (never across boundaries).
-    pub fn papers_containing_phrase(&self, corpus: &Corpus, phrase: &[TermId]) -> Vec<PaperId> {
-        if phrase.is_empty() {
-            return Vec::new();
-        }
-        let rarest = phrase
-            .iter()
-            .copied()
-            .min_by_key(|&t| self.model.df(t))
-            .expect("non-empty phrase");
-        let mut out = Vec::new();
-        for doc in self.inverted.docs_containing(rarest) {
-            let paper = PaperId(doc.0);
-            let a = corpus.analyzed(paper);
-            let found = Section::ALL
-                .iter()
-                .any(|&s| !textproc::phrase::find_occurrences(a.section(s), phrase).is_empty());
-            if found {
-                out.push(paper);
-            }
-        }
-        out
+    /// Candidate papers for `phrase`: the postings of its rarest word,
+    /// so every paper containing the phrase is among them. This is the
+    /// one phrase-candidate enumerator; callers confirm contiguity per
+    /// section (never across boundaries) with
+    /// [`patterns::matcher::find_match`]. Empty for an empty phrase.
+    pub fn phrase_candidates(&self, phrase: &[TermId]) -> impl Iterator<Item = PaperId> + '_ {
+        let rarest = phrase.iter().copied().min_by_key(|&t| self.model.df(t));
+        rarest
+            .into_iter()
+            .flat_map(|t| self.inverted.docs_containing(t))
+            .map(|doc| PaperId(doc.0))
     }
 
     /// The §3.2 author similarity:
     /// `SimAuthors = L0Weight·SimL0 + L1Weight·SimL1`, where level 0 is
-    /// shared authors and level 1 is authors who co-wrote a third paper.
-    pub fn author_similarity(
-        &self,
-        corpus: &Corpus,
-        a: PaperId,
-        b: PaperId,
-        weights: &TextSimWeights,
-    ) -> f64 {
-        let aa = &corpus.paper(a).authors;
-        let ab = &corpus.paper(b).authors;
+    /// shared authors and level 1 counts `b`'s authors who co-wrote some
+    /// corpus paper (`a` and `b` included) with one of `a`'s authors.
+    ///
+    /// Both levels are integer counts over sorted id lists, so nothing
+    /// is allocated per pair.
+    pub fn author_similarity(&self, a: PaperId, b: PaperId, weights: &TextSimWeights) -> f64 {
+        let aa = self.paper_authors.get(a.index());
+        let ab = self.paper_authors.get(b.index());
         if aa.is_empty() || ab.is_empty() {
             return 0.0;
         }
-        let set_a: HashSet<AuthorId> = aa.iter().copied().collect();
-        let set_b: HashSet<AuthorId> = ab.iter().copied().collect();
-        let l0 =
-            set_a.intersection(&set_b).count() as f64 / ((set_a.len() * set_b.len()) as f64).sqrt();
+        let l0 = sorted_intersection_size(aa, ab) as f64 / ((aa.len() * ab.len()) as f64).sqrt();
 
-        // Level 1: an author of `a` and an author of `b` co-wrote some
-        // third paper ⇔ b's author appears in the coauthor set of a's
-        // author.
-        let neighbors_a: HashSet<AuthorId> = set_a
+        // Level 1: b's author co-wrote a paper with one of a's authors
+        // ⇔ it appears in the co-author list of one of a's authors.
+        let l1_hits = ab
             .iter()
-            .flat_map(|x| self.coauthors.get(x).into_iter().flatten())
-            .copied()
-            .collect();
-        let l1_hits = set_b.iter().filter(|x| neighbors_a.contains(x)).count() as f64;
-        let l1 = (l1_hits / set_b.len() as f64).min(1.0);
+            .filter(|y| {
+                aa.iter()
+                    .any(|&x| self.coauthors.get(x as usize).binary_search(y).is_ok())
+            })
+            .count() as f64;
+        let l1 = (l1_hits / ab.len() as f64).min(1.0);
 
         (weights.l0_author * l0 + weights.l1_author * l1).clamp(0.0, 1.0)
     }
+}
+
+/// Sorted `u32` id lists stored in one flat arena: list `i` is
+/// `ids[offsets[i]..offsets[i + 1]]`.
+struct IdLists {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl IdLists {
+    /// Group `(list, id)` pairs into `n_lists` lists, each ascending
+    /// and deduplicated.
+    fn from_pairs(n_lists: usize, mut pairs: Vec<(u32, u32)>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut offsets = vec![0usize; n_lists + 1];
+        let mut ids = Vec::with_capacity(pairs.len());
+        for &(list, id) in &pairs {
+            offsets[list as usize + 1] += 1;
+            ids.push(id);
+        }
+        for i in 0..n_lists {
+            offsets[i + 1] += offsets[i];
+        }
+        Self { offsets, ids }
+    }
+
+    fn get(&self, list: usize) -> &[u32] {
+        &self.ids[self.offsets[list]..self.offsets[list + 1]]
+    }
+}
+
+/// Per-paper author lists and per-author co-author lists. Author ids
+/// are first mapped to dense *rows*: their rank among the distinct ids
+/// in the corpus. The map preserves order, so overlap counts over rows
+/// equal those over ids, and the tables stay sized by the authors that
+/// occur, whatever their id values.
+fn build_author_lists(corpus: &Corpus) -> (IdLists, IdLists) {
+    let mut ids: Vec<u32> = corpus
+        .papers()
+        .iter()
+        .flat_map(|p| p.authors.iter().map(|a| a.0))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let row = |id: u32| ids.binary_search(&id).expect("id collected above") as u32;
+    let paper_authors = IdLists::from_pairs(
+        corpus.len(),
+        corpus
+            .papers()
+            .iter()
+            .enumerate()
+            .flat_map(|(paper, p)| p.authors.iter().map(move |a| (paper as u32, row(a.0))))
+            .collect(),
+    );
+    let n_pairs = (0..corpus.len())
+        .map(|paper| {
+            let k = paper_authors.get(paper).len();
+            k * k.saturating_sub(1)
+        })
+        .sum();
+    let mut pairs = Vec::with_capacity(n_pairs);
+    for paper in 0..corpus.len() {
+        let authors = paper_authors.get(paper);
+        for &a in authors {
+            pairs.extend(authors.iter().filter(|&&b| b != a).map(|&b| (a, b)));
+        }
+    }
+    let coauthors = IdLists::from_pairs(ids.len(), pairs);
+    (paper_authors, coauthors)
 }
 
 #[cfg(test)]
@@ -330,17 +376,27 @@ mod tests {
 
     #[test]
     fn phrase_candidates_actually_contain_phrase() {
-        let (onto, corpus, idx) = setup();
+        let (_, corpus, idx) = setup();
         // Use a term name that some paper's title starts with.
         let primary = corpus.paper(PaperId(0)).true_topics[0];
         let phrase = &idx.term_name_tokens[primary.index()];
         assert!(!phrase.is_empty());
-        let papers = idx.papers_containing_phrase(&corpus, phrase);
+        let candidates: Vec<PaperId> = idx.phrase_candidates(phrase).collect();
         assert!(
-            papers.contains(&PaperId(0)),
+            candidates.contains(&PaperId(0)),
             "paper 0's title starts with its topic name"
         );
-        let _ = onto;
+        // Every paper containing the phrase is a candidate.
+        for p in corpus.paper_ids() {
+            let a = corpus.analyzed(p);
+            if Section::ALL
+                .iter()
+                .any(|&s| textproc::phrase::contains_phrase(a.section(s), phrase))
+            {
+                assert!(candidates.contains(&p), "{p:?} contains the phrase");
+            }
+        }
+        assert_eq!(idx.phrase_candidates(&[]).count(), 0);
     }
 
     #[test]
@@ -356,11 +412,32 @@ mod tests {
 
     #[test]
     fn author_similarity_self_is_high() {
-        let (_, corpus, idx) = setup();
+        let (_, _, idx) = setup();
         let w = TextSimWeights::default();
-        let s = idx.author_similarity(&corpus, PaperId(0), PaperId(0), &w);
+        let s = idx.author_similarity(PaperId(0), PaperId(0), &w);
         assert!(s > 0.5, "self author similarity: {s}");
         assert!(s <= 1.0);
+    }
+
+    #[test]
+    fn author_lists_are_sorted_and_exclude_self() {
+        let (_, corpus, idx) = setup();
+        for p in corpus.paper_ids() {
+            let rows = idx.paper_authors.get(p.index());
+            assert!(rows.windows(2).all(|w| w[0] < w[1]));
+            let mut distinct: Vec<u32> = corpus.paper(p).authors.iter().map(|a| a.0).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(rows.len(), distinct.len());
+            for &a in rows {
+                let co = idx.coauthors.get(a as usize);
+                assert!(co.windows(2).all(|w| w[0] < w[1]));
+                assert!(co.binary_search(&a).is_err(), "no self co-authorship");
+                for &b in rows.iter().filter(|&&b| b != a) {
+                    assert!(co.binary_search(&b).is_ok());
+                }
+            }
+        }
     }
 
     #[test]

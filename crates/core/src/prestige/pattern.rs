@@ -4,6 +4,7 @@
 //! that inherited their paper set from an ancestor (§4 fallback) reuse
 //! the ancestor's scores decayed by `RateOfDecay = I(ancs)/I(desc)`.
 
+use crate::assign::pattern::pattern_match;
 use crate::assign::ContextPatterns;
 use crate::config::EngineConfig;
 use crate::context::{ContextId, ContextPaperSets};
@@ -11,8 +12,7 @@ use crate::indexes::CorpusIndex;
 use crate::prestige::{max_normalize, PrestigeScores, ScoreFunction};
 use corpus::{Corpus, PaperId};
 use ontology::{rate_of_decay, Ontology};
-use patterns::matcher::match_strength;
-use patterns::{MatcherConfig, SectionTokens};
+use patterns::MatcherConfig;
 use std::collections::HashMap;
 
 /// Compute pattern-based prestige for every context in `sets`.
@@ -76,33 +76,26 @@ fn score_context(
     context: ContextId,
 ) -> Vec<(PaperId, f64)> {
     let members = sets.members(context);
-    let pats = patterns.patterns(context);
-    let mut acc: HashMap<PaperId, f64> = HashMap::with_capacity(members.len());
-    // Candidate-driven accumulation: only papers containing a pattern's
-    // middle are ever scored against it (postings prefilter), instead of
-    // scanning every member against every pattern.
-    for pat in pats {
-        for paper in index.papers_containing_phrase(corpus, &pat.middle) {
-            if members.binary_search(&paper).is_err() {
+    // Dense accumulator parallel to `members`; each paper sums its
+    // patterns' contributions in pattern order.
+    let mut acc = vec![0.0f64; members.len()];
+    let mut scanned = 0u64;
+    // Candidate-driven accumulation: only members containing a
+    // pattern's middle are ever scored against it (postings prefilter),
+    // instead of scanning every member against every pattern.
+    for pat in patterns.patterns(context) {
+        for paper in index.phrase_candidates(&pat.middle) {
+            let Ok(i) = members.binary_search(&paper) else {
                 continue;
-            }
-            let a = corpus.analyzed(paper);
-            let sections = SectionTokens {
-                title: &a.title,
-                abstract_text: &a.abstract_text,
-                body: &a.body,
-                index_terms: &a.index_terms,
             };
-            let m = match_strength(pat, &sections, matcher);
-            if m > 0.0 {
-                *acc.entry(paper).or_insert(0.0) += pat.score * m;
+            scanned += 1;
+            if let Some(m) = pattern_match(corpus, paper, pat, matcher).filter(|&m| m > 0.0) {
+                acc[i] += pat.score * m;
             }
         }
     }
-    let mut scores: Vec<(PaperId, f64)> = members
-        .iter()
-        .map(|&p| (p, acc.get(&p).copied().unwrap_or(0.0)))
-        .collect();
+    obs::counter("prestige.pattern.phrase_candidates", scanned);
+    let mut scores: Vec<(PaperId, f64)> = members.iter().copied().zip(acc).collect();
     max_normalize(&mut scores);
     scores
 }

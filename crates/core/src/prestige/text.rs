@@ -15,10 +15,11 @@ use std::collections::HashMap;
 /// Compute text-based prestige for every context that has a
 /// representative paper. Contexts without one (no annotation evidence)
 /// get no text scores — mirroring the paper, where only 5,632 contexts
-/// carried them.
+/// carried them. Every input the similarity reads lives in `index`;
+/// `_corpus` keeps the argument order the other stage functions share.
 pub fn text_prestige(
     sets: &ContextPaperSets,
-    corpus: &Corpus,
+    _corpus: &Corpus,
     index: &CorpusIndex,
     config: &EngineConfig,
 ) -> PrestigeScores {
@@ -31,13 +32,14 @@ pub fn text_prestige(
     let computed: Vec<(ContextId, Vec<(PaperId, f64)>)> =
         crate::parallel_map(config.threads, &contexts, |&context| {
             let rep = sets.representatives[&context];
+            let members = sets.members(context);
+            obs::counter("prestige.text.pairs", members.len() as u64);
             // Absolute similarities (already in [0, 1]): diffuse
             // upper-level contexts legitimately yield small scores — the
             // paper's Fig 5.5 observation depends on this.
-            let scores: Vec<(PaperId, f64)> = sets
-                .members(context)
+            let scores: Vec<(PaperId, f64)> = members
                 .iter()
-                .map(|&p| (p, combined_similarity(corpus, index, config, p, rep)))
+                .map(|&p| (p, combined_similarity(index, config, p, rep)))
                 .collect();
             (context, scores)
         });
@@ -49,7 +51,6 @@ pub fn text_prestige(
 
 /// The §3.2 similarity `Sim(PX, PC) = Σ weight_i · Sim_i(PX, PC)`.
 pub fn combined_similarity(
-    corpus: &Corpus,
     index: &CorpusIndex,
     config: &EngineConfig,
     paper: PaperId,
@@ -60,7 +61,7 @@ pub fn combined_similarity(
     let s_abs = index.section_cosine(Section::Abstract, paper, representative);
     let s_body = index.section_cosine(Section::Body, paper, representative);
     let s_idx = index.section_cosine(Section::IndexTerms, paper, representative);
-    let s_auth = index.author_similarity(corpus, paper, representative, w);
+    let s_auth = index.author_similarity(paper, representative, w);
     let s_ref = citation_similarity(&index.graph, paper.0, representative.0, w.bib_weight);
     w.title * s_title
         + w.abstract_text * s_abs
@@ -152,11 +153,10 @@ mod tests {
 
     #[test]
     fn combined_similarity_is_bounded() {
-        let (onto, corpus, index, config) = setup();
-        let _ = onto;
+        let (_, _, index, config) = setup();
         for a in 0..10u32 {
             for b in 0..10u32 {
-                let s = combined_similarity(&corpus, &index, &config, PaperId(a), PaperId(b));
+                let s = combined_similarity(&index, &config, PaperId(a), PaperId(b));
                 assert!((0.0..=1.0 + 1e-9).contains(&s), "sim {s}");
             }
         }
@@ -164,11 +164,11 @@ mod tests {
 
     #[test]
     fn self_similarity_is_maximal_among_pairs() {
-        let (_, corpus, index, config) = setup();
-        let s_self = combined_similarity(&corpus, &index, &config, PaperId(3), PaperId(3));
+        let (_, _, index, config) = setup();
+        let s_self = combined_similarity(&index, &config, PaperId(3), PaperId(3));
         for b in 0..20u32 {
             if b != 3 {
-                let s = combined_similarity(&corpus, &index, &config, PaperId(3), PaperId(b));
+                let s = combined_similarity(&index, &config, PaperId(3), PaperId(b));
                 assert!(s_self >= s - 1e-9, "self {s_self} vs {b}: {s}");
             }
         }

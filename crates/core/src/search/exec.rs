@@ -256,14 +256,7 @@ impl QueryParts<'_> {
         source: PaperId,
         limit: usize,
     ) -> Vec<crate::search::related::RelatedPaper> {
-        crate::search::related::more_like_this(
-            self.corpus,
-            self.index,
-            self.config,
-            sets,
-            source,
-            limit,
-        )
+        crate::search::related::more_like_this(self.index, self.config, sets, source, limit)
     }
 
     /// The §2 AC-answer ground-truth set for a query.

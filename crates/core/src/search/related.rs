@@ -11,7 +11,7 @@ use crate::config::EngineConfig;
 use crate::context::{ContextId, ContextPaperSets};
 use crate::indexes::CorpusIndex;
 use crate::prestige::text::combined_similarity;
-use corpus::{Corpus, PaperId};
+use corpus::PaperId;
 
 /// One related paper.
 #[derive(Debug, Clone, Copy)]
@@ -28,7 +28,6 @@ pub struct RelatedPaper {
 /// contexts, most similar first. Returns an empty vector when the
 /// source belongs to no context of `sets`.
 pub fn more_like_this(
-    corpus: &Corpus,
     index: &CorpusIndex,
     config: &EngineConfig,
     sets: &ContextPaperSets,
@@ -57,7 +56,7 @@ pub fn more_like_this(
         .into_iter()
         .map(|(paper, shared_context)| RelatedPaper {
             paper,
-            similarity: combined_similarity(corpus, index, config, paper, source),
+            similarity: combined_similarity(index, config, paper, source),
             shared_context,
         })
         .collect();
@@ -103,7 +102,7 @@ mod tests {
         let e = engine();
         let sets = e.pattern_context_sets();
         let source = PaperId(10);
-        let related = more_like_this(e.corpus(), e.index(), e.config(), &sets, source, 10);
+        let related = more_like_this(e.index(), e.config(), &sets, source, 10);
         assert!(!related.is_empty(), "paper 10 should have relatives");
         for r in &related {
             assert_ne!(r.paper, source);
@@ -123,7 +122,7 @@ mod tests {
         let mut topical_hits = 0;
         let mut checked = 0;
         for source in (0..60).map(PaperId) {
-            let related = more_like_this(e.corpus(), e.index(), e.config(), &sets, source, 1);
+            let related = more_like_this(e.index(), e.config(), &sets, source, 1);
             let Some(top) = related.first() else { continue };
             checked += 1;
             let src_topics = &e.corpus().paper(source).true_topics;
@@ -149,11 +148,11 @@ mod tests {
     fn limit_and_missing_source() {
         let e = engine();
         let sets = e.pattern_context_sets();
-        let related = more_like_this(e.corpus(), e.index(), e.config(), &sets, PaperId(5), 3);
+        let related = more_like_this(e.index(), e.config(), &sets, PaperId(5), 3);
         assert!(related.len() <= 3);
         // A paper id outside every context (fabricated empty sets).
         let empty = ContextPaperSets::new(Default::default(), sets.kind);
-        let none = more_like_this(e.corpus(), e.index(), e.config(), &empty, PaperId(5), 3);
+        let none = more_like_this(e.index(), e.config(), &empty, PaperId(5), 3);
         assert!(none.is_empty());
     }
 }

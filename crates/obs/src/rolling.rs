@@ -114,7 +114,10 @@ pub struct WindowStats {
     pub count: u64,
     /// Observations flagged as errors.
     pub errors: u64,
-    /// `count / window_secs`.
+    /// `count` over the interval actually observed: from the start of
+    /// the earliest non-empty bucket in the window through the end of
+    /// the bucket containing the read instant, capped at `window_secs`
+    /// (0 when the window is empty).
     pub qps: f64,
     /// `errors / count` (0 when the window is empty).
     pub error_rate: f64,
@@ -136,13 +139,24 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    fn from_merged(name: &str, window_secs: u64, count: u64, errors: u64, hist: Histogram) -> Self {
+    fn from_merged(
+        name: &str,
+        window_secs: u64,
+        observed_secs: f64,
+        count: u64,
+        errors: u64,
+        hist: Histogram,
+    ) -> Self {
         Self {
             name: name.to_string(),
             window_secs,
             count,
             errors,
-            qps: count as f64 / window_secs.max(1) as f64,
+            qps: if count == 0 {
+                0.0
+            } else {
+                count as f64 / observed_secs
+            },
             error_rate: if count == 0 {
                 0.0
             } else {
@@ -274,6 +288,7 @@ impl RollingRecorder {
         let span = (window_secs * SECOND_NS).div_ceil(self.bucket_ns);
         let first_epoch = (at_epoch + 1).saturating_sub(span);
         let mut seen = false;
+        let mut earliest = at_epoch;
         let mut count = 0u64;
         let mut errors = 0u64;
         let mut hist = Histogram::new();
@@ -290,12 +305,21 @@ impl RollingRecorder {
                 {
                     continue;
                 }
+                if bucket.count > 0 {
+                    earliest = earliest.min(bucket.epoch);
+                }
                 count += bucket.count;
                 errors += bucket.errors;
                 hist.merge(&bucket.hist);
             }
         }
-        seen.then(|| WindowStats::from_merged(name, window_secs, count, errors, hist))
+        // A burst shorter than the window is a rate over the burst's
+        // buckets, not diluted across the whole window.
+        let observed_ns = ((at_epoch - earliest + 1) * self.bucket_ns).min(window_secs * SECOND_NS);
+        let observed_secs = observed_ns as f64 / SECOND_NS as f64;
+        seen.then(|| {
+            WindowStats::from_merged(name, window_secs, observed_secs, count, errors, hist)
+        })
     }
 
     /// [`window_at`](Self::window_at) read at the clock's current time.
@@ -370,6 +394,30 @@ mod tests {
         assert!((w.error_rate - 0.2).abs() < 1e-12);
         assert_eq!(w.min_ns, 100);
         assert_eq!(w.max_ns, 119);
+    }
+
+    #[test]
+    fn qps_covers_the_observed_interval_not_the_whole_window() {
+        let (clock, rec) = recorder(60, 2);
+        // A 2,400-query burst inside one 1 s bucket of a 60 s window.
+        clock.set_ns(10 * SECOND_NS + SECOND_NS / 5);
+        for i in 0..2400u64 {
+            rec.record("q", 100 + i, false);
+        }
+        let w = rec.window_at("q", 60, 10 * SECOND_NS).expect("recorded");
+        assert_eq!(w.count, 2400);
+        assert!((w.qps - 2400.0).abs() < 1e-9, "qps {}", w.qps);
+        // Two seconds later the same queries span three buckets.
+        let later = rec.window_at("q", 60, 12 * SECOND_NS).expect("recorded");
+        assert!((later.qps - 800.0).abs() < 1e-9, "qps {}", later.qps);
+        // A window that has seen traffic for longer than itself stays
+        // capped at its own length.
+        let (_, long) = recorder(10, 1);
+        for s in 0..30u64 {
+            long.record_at(0, "q", s * SECOND_NS, 1, false);
+        }
+        let w10 = long.window_at("q", 10, 29 * SECOND_NS).expect("recorded");
+        assert!((w10.qps - 1.0).abs() < 1e-9, "qps {}", w10.qps);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! the occurrence to the pattern's left/right tuples.
 
 use crate::pattern::Pattern;
-use std::collections::HashSet;
-use textproc::phrase::find_occurrences;
+use textproc::phrase::{contains_phrase, occurrences};
 use textproc::TermId;
 
 /// A paper's sections as token streams, in the shape the matcher needs.
@@ -26,13 +25,8 @@ pub struct SectionTokens<'a> {
 }
 
 impl<'a> SectionTokens<'a> {
-    fn all(&self) -> [(&'a [TermId], f64); 4] {
-        [
-            (self.title, 0.0),
-            (self.abstract_text, 0.0),
-            (self.body, 0.0),
-            (self.index_terms, 0.0),
-        ]
+    fn all(&self) -> [&'a [TermId]; 4] {
+        [self.title, self.abstract_text, self.body, self.index_terms]
     }
 }
 
@@ -73,29 +67,60 @@ pub fn match_strength(
     sections: &SectionTokens<'_>,
     config: &MatcherConfig,
 ) -> f64 {
-    let mut sections_arr = sections.all();
-    for (i, w) in config.section_weights.iter().enumerate() {
-        sections_arr[i].1 = *w;
+    find_match(pattern, sections, config).unwrap_or(0.0)
+}
+
+/// One scan of a paper's sections for the pattern's middle: `None`
+/// when the middle occurs in no section, otherwise `Some(M(P, pt))`.
+/// That strength is 0.0 when the middle occurs only in sections whose
+/// weight is not positive; such sections are only checked for
+/// existence, and only while nothing has been found yet.
+pub fn find_match(
+    pattern: &Pattern,
+    sections: &SectionTokens<'_>,
+    config: &MatcherConfig,
+) -> Option<f64> {
+    let sections = sections.all();
+    let weights = config.section_weights;
+    let middle = &pattern.middle;
+    let quality = |weight: f64, fidelity: f64| {
+        weight * ((1.0 - config.context_weight) + config.context_weight * fidelity)
+    };
+    let mut found = false;
+    if config.middle_only {
+        // Every occurrence scores `quality(weight, 1.0)`, and rounding
+        // keeps that product monotone in the weight, so the heaviest
+        // positive-weight section containing the middle decides `M`:
+        // visit sections heaviest first and stop at the first hit.
+        let mut order = [0, 1, 2, 3];
+        order.sort_by(|&i, &j| weights[j].total_cmp(&weights[i]));
+        for i in order {
+            if weights[i] > 0.0 {
+                if contains_phrase(sections[i], middle) {
+                    let q = quality(weights[i], 1.0);
+                    return Some(if q > 0.0 { q } else { 0.0 });
+                }
+            } else {
+                found = found || contains_phrase(sections[i], middle);
+            }
+        }
+        return found.then_some(0.0);
     }
     let mut best = 0.0f64;
-    for (tokens, weight) in sections_arr {
-        if weight <= 0.0 || tokens.len() < pattern.middle.len() {
+    for (tokens, weight) in sections.into_iter().zip(weights) {
+        if weight <= 0.0 {
+            found = found || contains_phrase(tokens, middle);
             continue;
         }
-        for start in find_occurrences(tokens, &pattern.middle) {
-            let fidelity = if config.middle_only {
-                1.0
-            } else {
-                side_fidelity(pattern, tokens, start, config.window)
-            };
-            let quality =
-                weight * ((1.0 - config.context_weight) + config.context_weight * fidelity);
-            if quality > best {
-                best = quality;
+        for start in occurrences(tokens, middle) {
+            found = true;
+            let q = quality(weight, side_fidelity(pattern, tokens, start, config.window));
+            if q > best {
+                best = q;
             }
         }
     }
-    best
+    found.then_some(best)
 }
 
 /// Fraction of the pattern's side words observed around the occurrence
@@ -108,8 +133,7 @@ fn side_fidelity(pattern: &Pattern, tokens: &[TermId], start: usize, window: usi
     let lo = start.saturating_sub(window);
     let end = start + pattern.middle.len();
     let hi = (end + window).min(tokens.len());
-    let left_window: HashSet<TermId> = tokens[lo..start].iter().copied().collect();
-    let right_window: HashSet<TermId> = tokens[end..hi].iter().copied().collect();
+    let (left_window, right_window) = (&tokens[lo..start], &tokens[end..hi]);
     let hit = pattern
         .left
         .iter()

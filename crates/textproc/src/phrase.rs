@@ -110,18 +110,36 @@ pub fn ngram_occurrences(doc: &[TermId], n: usize) -> HashMap<Vec<TermId>, u32> 
     out
 }
 
+/// Start positions where `needle` occurs contiguously in `haystack`,
+/// ascending and produced lazily (no allocation). An empty needle
+/// occurs nowhere.
+pub fn occurrences<'a>(
+    haystack: &'a [TermId],
+    needle: &'a [TermId],
+) -> impl Iterator<Item = usize> + 'a {
+    // Candidate starts: every position a full needle still fits after
+    // (none for an empty needle). One token compare rejects most.
+    let n_starts = match needle.len() {
+        0 => 0,
+        len => (haystack.len() + 1).saturating_sub(len),
+    };
+    haystack[..n_starts]
+        .iter()
+        .enumerate()
+        .filter(move |&(i, &t)| t == needle[0] && haystack[i + 1..i + needle.len()] == needle[1..])
+        .map(|(i, _)| i)
+}
+
+/// Whether `needle` occurs contiguously in `haystack` (stops at the
+/// first occurrence, no allocation).
+pub fn contains_phrase(haystack: &[TermId], needle: &[TermId]) -> bool {
+    occurrences(haystack, needle).next().is_some()
+}
+
 /// Find all start positions where `needle` occurs contiguously in
 /// `haystack`.
 pub fn find_occurrences(haystack: &[TermId], needle: &[TermId]) -> Vec<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return Vec::new();
-    }
-    haystack
-        .windows(needle.len())
-        .enumerate()
-        .filter(|(_, w)| *w == needle)
-        .map(|(i, _)| i)
-        .collect()
+    occurrences(haystack, needle).collect()
 }
 
 #[cfg(test)]
@@ -182,6 +200,18 @@ mod tests {
         assert_eq!(find_occurrences(&hay, &ids(&[2, 1])), vec![1, 3]);
         assert!(find_occurrences(&hay, &ids(&[9])).is_empty());
         assert!(find_occurrences(&hay, &ids(&[])).is_empty());
+        assert!(find_occurrences(&ids(&[1]), &ids(&[1, 2])).is_empty());
+    }
+
+    #[test]
+    fn contains_phrase_agrees_with_find_occurrences() {
+        let hay = ids(&[1, 2, 1, 2, 1]);
+        assert!(contains_phrase(&hay, &ids(&[2, 1])));
+        assert!(contains_phrase(&hay, &hay));
+        assert!(!contains_phrase(&hay, &ids(&[1, 1])));
+        assert!(!contains_phrase(&hay, &ids(&[])));
+        assert!(!contains_phrase(&ids(&[]), &ids(&[1])));
+        assert!(!contains_phrase(&ids(&[1, 2]), &ids(&[1, 2, 1])));
     }
 
     #[test]
@@ -193,6 +223,24 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// The lazy scan finds exactly the windows equal to the needle.
+        #[test]
+        fn occurrences_match_a_window_scan(
+            hay in proptest::collection::vec(0u32..4, 0..16),
+            needle in proptest::collection::vec(0u32..4, 0..4),
+        ) {
+            let (hay, needle) = (ids(&hay), ids(&needle));
+            let expected: Vec<usize> = if needle.is_empty() {
+                Vec::new()
+            } else {
+                (0..hay.len().saturating_sub(needle.len() - 1))
+                    .filter(|&i| hay[i..i + needle.len()] == needle[..])
+                    .collect()
+            };
+            proptest::prop_assert_eq!(find_occurrences(&hay, &needle), expected.clone());
+            proptest::prop_assert_eq!(contains_phrase(&hay, &needle), !expected.is_empty());
+        }
+
         /// Apriori downward-closure: every sub-phrase of a reported
         /// frequent phrase must itself be frequent with >= support.
         #[test]
