@@ -16,7 +16,8 @@ use std::collections::HashMap;
 /// representative paper. Contexts without one (no annotation evidence)
 /// get no text scores — mirroring the paper, where only 5,632 contexts
 /// carried them. Every input the similarity reads lives in `index`;
-/// `_corpus` keeps the argument order the other stage functions share.
+/// `_corpus` stays because the lifecycle benchmark (`perfbench/`, a
+/// package outside the workspace) calls this function with it.
 pub fn text_prestige(
     sets: &ContextPaperSets,
     _corpus: &Corpus,

@@ -83,29 +83,7 @@ pub fn find_match(
     let sections = sections.all();
     let weights = config.section_weights;
     let middle = &pattern.middle;
-    let quality = |weight: f64, fidelity: f64| {
-        weight * ((1.0 - config.context_weight) + config.context_weight * fidelity)
-    };
     let mut found = false;
-    if config.middle_only {
-        // Every occurrence scores `quality(weight, 1.0)`, and rounding
-        // keeps that product monotone in the weight, so the heaviest
-        // positive-weight section containing the middle decides `M`:
-        // visit sections heaviest first and stop at the first hit.
-        let mut order = [0, 1, 2, 3];
-        order.sort_by(|&i, &j| weights[j].total_cmp(&weights[i]));
-        for i in order {
-            if weights[i] > 0.0 {
-                if contains_phrase(sections[i], middle) {
-                    let q = quality(weights[i], 1.0);
-                    return Some(if q > 0.0 { q } else { 0.0 });
-                }
-            } else {
-                found = found || contains_phrase(sections[i], middle);
-            }
-        }
-        return found.then_some(0.0);
-    }
     let mut best = 0.0f64;
     for (tokens, weight) in sections.into_iter().zip(weights) {
         if weight <= 0.0 {
@@ -114,9 +92,19 @@ pub fn find_match(
         }
         for start in occurrences(tokens, middle) {
             found = true;
-            let q = quality(weight, side_fidelity(pattern, tokens, start, config.window));
-            if q > best {
-                best = q;
+            let fidelity = if config.middle_only {
+                1.0
+            } else {
+                side_fidelity(pattern, tokens, start, config.window)
+            };
+            let quality =
+                weight * ((1.0 - config.context_weight) + config.context_weight * fidelity);
+            if quality > best {
+                best = quality;
+            }
+            if config.middle_only {
+                // Every occurrence in this section scores the same.
+                break;
             }
         }
     }
