@@ -4,7 +4,10 @@
 //! [`LintReport`]":
 //!
 //! * walking the workspace for `.rs` files (skipping `target/`,
-//!   `vendor/`, and `.git/`) and scanning each into tokens;
+//!   `vendor/`, `.git/`, and nested packages whose `Cargo.toml` has a
+//!   `[workspace]` table of its own, such as the lifecycle benchmark —
+//!   they are separate workspaces, out of the lint's scope) and
+//!   scanning each into tokens;
 //! * loading the metrics baselines the span-drift rule cross-checks;
 //! * running per-file rules (test-path files excluded) and
 //!   workspace rules;
@@ -95,7 +98,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Resul
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | ".git") {
+            if matches!(name.as_ref(), "target" | "vendor" | ".git") || declares_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -109,6 +112,16 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Resul
         }
     }
     Ok(())
+}
+
+/// True when `dir/Cargo.toml` opens a `[workspace]` table: below the
+/// root, that marks a separate workspace the lint does not scan. A
+/// member crate's `x.workspace = true` keys are not a table header.
+fn declares_workspace(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| {
+        text.lines()
+            .any(|l| l.trim_start().starts_with("[workspace]"))
+    })
 }
 
 /// Severity overrides from the CLI (`--warn RULE` / `--deny RULE`).
@@ -323,6 +336,33 @@ mod tests {
             ],
         );
         lint(&ws, &LintConfig::default())
+    }
+
+    #[test]
+    fn nested_workspace_packages_are_skipped_and_members_scanned() {
+        let root = std::env::temp_dir().join(format!("lint_nested_ws_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
+        write("src/lib.rs", "pub fn root() {}\n");
+        write(
+            "crates/member/Cargo.toml",
+            "# not a [workspace] of its own\n[package]\nname = \"member\"\nversion.workspace = true\n",
+        );
+        write("crates/member/src/lib.rs", "pub fn member() {}\n");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", "fn main() {}\n");
+        let ws = Workspace::from_root(&root).unwrap();
+        let paths: Vec<&str> = ws.files.iter().map(|f| f.path.as_str()).collect();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(paths, ["crates/member/src/lib.rs", "src/lib.rs"]);
     }
 
     #[test]

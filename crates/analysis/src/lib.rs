@@ -11,7 +11,10 @@
 //! cargo run -p analysis -- --format json --deny-warnings
 //! ```
 //!
-//! or via the installed binary name, `litsearch-lint`. See
+//! or via the installed binary name, `litsearch-lint`. It scans the
+//! workspace's own `.rs` files; a nested package whose `Cargo.toml`
+//! declares its own `[workspace]` is a separate workspace and out of
+//! scope (see [`engine`]). See
 //! [`rules`] for the rule catalogue, [`engine`] for suppression
 //! semantics (`// lint:allow(rule-id, reason)`), and [`report`] for
 //! the output formats.

@@ -73,8 +73,6 @@ pub struct Fact {
 pub const SERVE_ROOTS: &[(&str, &str)] = &[
     ("crates/core/src/search/serve.rs", "query"),
     ("crates/core/src/search/serve.rs", "query_with_stats"),
-    ("crates/core/src/search/serve.rs", "search"),
-    ("crates/core/src/search/serve.rs", "search_with_stats"),
     ("crates/core/src/search/exec.rs", "search"),
     ("crates/core/src/search/exec.rs", "search_with_stats"),
     ("crates/core/src/search/scratch.rs", "with_scratch"),

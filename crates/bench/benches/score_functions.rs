@@ -1,13 +1,14 @@
 //! Criterion benchmarks of the paper's three prestige score functions
 //! and the end-to-end pipeline stages, on a small shared testbed.
 
-use context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use context_search::assign::{build_pattern_sets, build_text_sets};
+use context_search::{ContextSetKind, EngineConfig, EngineSnapshot, ScoreFunction, Searcher};
 use corpus::{generate_corpus, CorpusConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use ontology::{generate_ontology, GeneratorConfig};
 use std::hint::black_box;
 
-fn build_engine() -> ContextSearchEngine {
+fn build_engine() -> Searcher {
     let onto = generate_ontology(&GeneratorConfig {
         n_terms: 150,
         seed: 3,
@@ -23,7 +24,7 @@ fn build_engine() -> ContextSearchEngine {
             ..Default::default()
         },
     );
-    ContextSearchEngine::build(onto, corp, EngineConfig::default())
+    EngineSnapshot::prepare(onto, corp, EngineConfig::default()).searcher()
 }
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -31,29 +32,42 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
 
+    let (onto, corp, index, config) = (
+        engine.ontology(),
+        engine.corpus(),
+        engine.index(),
+        engine.config(),
+    );
+    let patterns = engine
+        .snapshot()
+        .patterns()
+        .expect("cold prepare keeps patterns");
     group.bench_function("text_context_sets", |b| {
-        b.iter(|| black_box(engine.text_context_sets()))
+        b.iter(|| black_box(build_text_sets(onto, corp, index, config)))
     });
     group.bench_function("pattern_context_sets", |b| {
-        // Patterns are cached after the first call; this measures the
+        // Patterns are mined once by prepare; this measures the
         // assignment sweep itself.
-        b.iter(|| black_box(engine.pattern_context_sets()))
+        b.iter(|| black_box(build_pattern_sets(onto, corp, index, patterns, config)))
     });
 
-    let tsets = engine.text_context_sets();
-    let psets = engine.pattern_context_sets();
+    let tsets = engine.sets(ContextSetKind::TextBased);
+    let psets = engine.sets(ContextSetKind::PatternBased);
+    let prestige = |sets, function| engine.prestige_with_options(sets, function, true, true);
     group.bench_function("prestige/citation", |b| {
-        b.iter(|| black_box(engine.prestige(&psets, ScoreFunction::Citation)))
+        b.iter(|| black_box(prestige(psets, ScoreFunction::Citation)))
     });
     group.bench_function("prestige/text", |b| {
-        b.iter(|| black_box(engine.prestige(&tsets, ScoreFunction::Text)))
+        b.iter(|| black_box(prestige(tsets, ScoreFunction::Text)))
     });
     group.bench_function("prestige/pattern", |b| {
-        b.iter(|| black_box(engine.prestige(&psets, ScoreFunction::Pattern)))
+        b.iter(|| black_box(prestige(psets, ScoreFunction::Pattern)))
     });
     group.finish();
 
-    let prestige = engine.prestige(&psets, ScoreFunction::Pattern);
+    let prestige = engine
+        .prestige(ContextSetKind::PatternBased, ScoreFunction::Pattern)
+        .expect("default pair");
     let term = engine
         .ontology()
         .term_ids()
@@ -62,7 +76,7 @@ fn bench_pipeline(c: &mut Criterion) {
     let query = engine.ontology().term(term).name.clone();
     let mut group = c.benchmark_group("query");
     group.bench_function("context_search", |b| {
-        b.iter(|| black_box(engine.search(black_box(&query), &psets, &prestige, 20)))
+        b.iter(|| black_box(engine.search(black_box(&query), psets, prestige, 20)))
     });
     group.bench_function("keyword_baseline", |b| {
         b.iter(|| black_box(engine.keyword_search(black_box(&query), 0.0)))
@@ -79,8 +93,10 @@ fn bench_pipeline(c: &mut Criterion) {
 /// few percent of disabled.
 fn bench_obs_overhead(c: &mut Criterion) {
     let engine = build_engine();
-    let psets = engine.pattern_context_sets();
-    let prestige = engine.prestige(&psets, ScoreFunction::Pattern);
+    let psets = engine.sets(ContextSetKind::PatternBased);
+    let prestige = engine
+        .prestige(ContextSetKind::PatternBased, ScoreFunction::Pattern)
+        .expect("default pair");
     let term = engine
         .ontology()
         .term_ids()
@@ -91,11 +107,11 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     obs::disable();
     group.bench_function("search/telemetry_off", |b| {
-        b.iter(|| black_box(engine.search(black_box(&query), &psets, &prestige, 20)))
+        b.iter(|| black_box(engine.search(black_box(&query), psets, prestige, 20)))
     });
     obs::enable();
     group.bench_function("search/telemetry_on", |b| {
-        b.iter(|| black_box(engine.search(black_box(&query), &psets, &prestige, 20)))
+        b.iter(|| black_box(engine.search(black_box(&query), psets, prestige, 20)))
     });
     obs::disable();
     obs::reset();

@@ -103,89 +103,6 @@ fn finish(
     }
 }
 
-/// Run PageRank with per-edge weights supplied by `edge_weight(citing,
-/// cited)`. A citing paper's mass splits across its references in
-/// proportion to the edge weights; edges of weight ≤ 0 are treated as
-/// absent; papers whose outgoing weights all vanish are dangling.
-///
-/// This is the machinery behind the paper's §7 future-work variant,
-/// where citations from other contexts contribute with a weight
-/// depending on how hierarchically related the citing paper's contexts
-/// are.
-pub fn pagerank_weighted<F>(
-    graph: &CitationGraph,
-    config: &PageRankConfig,
-    edge_weight: F,
-) -> PageRankResult
-where
-    F: Fn(u32, u32) -> f64,
-{
-    let n = graph.n_nodes() as usize;
-    if n == 0 {
-        return finish(Vec::new(), 0, true, 0.0);
-    }
-    assert!(
-        (0.0..=1.0).contains(&config.damping),
-        "damping must be in [0,1]"
-    );
-    let d = config.damping;
-    let inv_n = 1.0 / n as f64;
-
-    // Precompute weights and per-node totals once.
-    let mut weights: Vec<Vec<f64>> = Vec::with_capacity(n);
-    let mut totals: Vec<f64> = Vec::with_capacity(n);
-    for u in 0..n as u32 {
-        let ws: Vec<f64> = graph
-            .references(u)
-            .iter()
-            .map(|&v| edge_weight(u, v).max(0.0))
-            .collect();
-        totals.push(ws.iter().sum());
-        weights.push(ws);
-    }
-
-    let mut p = vec![inv_n; n];
-    let mut next = vec![0.0f64; n];
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut final_residual = 0.0f64;
-    for _ in 0..config.max_iterations {
-        iterations += 1;
-        next.iter_mut().for_each(|x| *x = 0.0);
-        let mut dangling_mass = 0.0f64;
-        for u in 0..n {
-            if totals[u] <= 0.0 {
-                dangling_mass += p[u];
-                continue;
-            }
-            let scale = d * p[u] / totals[u];
-            for (&v, &w) in graph.references(u as u32).iter().zip(&weights[u]) {
-                if w > 0.0 {
-                    next[v as usize] += scale * w;
-                }
-            }
-        }
-        let dangling_share = d * dangling_mass * inv_n;
-        let total: f64 = p.iter().sum();
-        let teleport = match config.teleport {
-            TeleportMode::Constant => 1.0 - d,
-            TeleportMode::MassProportional => (1.0 - d) * total * inv_n,
-        };
-        for x in next.iter_mut() {
-            *x += dangling_share + teleport;
-        }
-        let delta: f64 = p.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut p, &mut next);
-        final_residual = delta;
-        obs::observe_ns("citegraph.pagerank.residual_e12", (delta * 1e12) as u64);
-        if delta < config.tolerance {
-            converged = true;
-            break;
-        }
-    }
-    finish(p, iterations, converged, final_residual)
-}
-
 /// PageRank with a personalization (biased-teleport) vector: teleport
 /// and dangling mass are distributed proportionally to `bias` instead
 /// of uniformly (Topic-Sensitive-PageRank style, the paper's ref \[17\]).
@@ -201,63 +118,48 @@ pub fn pagerank_personalized(
     if n == 0 {
         return finish(Vec::new(), 0, true, 0.0);
     }
-    let d = config.damping;
     let bias_total: f64 = bias.iter().sum();
     let b: Vec<f64> = if bias_total > 0.0 {
         bias.iter().map(|&x| x.max(0.0) / bias_total).collect()
     } else {
         vec![1.0 / n as f64; n]
     };
-    let mut p = b.clone();
-    let mut next = vec![0.0f64; n];
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut final_residual = 0.0f64;
-    for _ in 0..config.max_iterations {
-        iterations += 1;
-        next.iter_mut().for_each(|x| *x = 0.0);
-        let mut dangling_mass = 0.0f64;
-        for u in 0..n as u32 {
-            let refs = graph.references(u);
-            if refs.is_empty() {
-                dangling_mass += p[u as usize];
-            } else {
-                let share = d * p[u as usize] / refs.len() as f64;
-                for &v in refs {
-                    next[v as usize] += share;
-                }
-            }
-        }
-        let total: f64 = p.iter().sum();
-        let redistribute = d * dangling_mass + (1.0 - d) * total;
-        for (x, &bi) in next.iter_mut().zip(&b) {
-            *x += redistribute * bi;
-        }
-        let delta: f64 = p.iter().zip(next.iter()).map(|(a, c)| (a - c).abs()).sum();
-        std::mem::swap(&mut p, &mut next);
-        final_residual = delta;
-        obs::observe_ns("citegraph.pagerank.residual_e12", (delta * 1e12) as u64);
-        if delta < config.tolerance {
-            converged = true;
-            break;
-        }
-    }
-    finish(p, iterations, converged, final_residual)
+    power_iterate(graph, config, Some(&b))
 }
 
 /// Run PageRank over `graph` with `config`.
 pub fn pagerank(graph: &CitationGraph, config: &PageRankConfig) -> PageRankResult {
-    let n = graph.n_nodes() as usize;
-    if n == 0 {
+    if graph.n_nodes() == 0 {
         return finish(Vec::new(), 0, true, 0.0);
     }
     assert!(
         (0.0..=1.0).contains(&config.damping),
         "damping must be in [0,1]"
     );
+    power_iterate(graph, config, None)
+}
+
+/// The one power-iteration loop behind [`pagerank`] and
+/// [`pagerank_personalized`], over a non-empty graph.
+///
+/// `bias` is the normalized teleport distribution. `None` is the plain
+/// variant: it starts from `1/N`, adds the uniform dangling share plus
+/// the [`TeleportMode`] term to every node, and allocates nothing but
+/// the two score vectors. `Some(b)` starts from `b` and hands both the
+/// dangling mass and the `(1-d)` teleport mass out in proportion to `b`
+/// (always mass-conserving, so `TeleportMode` does not apply).
+fn power_iterate(
+    graph: &CitationGraph,
+    config: &PageRankConfig,
+    bias: Option<&[f64]>,
+) -> PageRankResult {
+    let n = graph.n_nodes() as usize;
     let d = config.damping;
     let inv_n = 1.0 / n as f64;
-    let mut p = vec![inv_n; n];
+    let mut p = match bias {
+        Some(b) => b.to_vec(),
+        None => vec![inv_n; n],
+    };
     let mut next = vec![0.0f64; n];
     let mut iterations = 0;
     let mut converged = false;
@@ -268,7 +170,7 @@ pub fn pagerank(graph: &CitationGraph, config: &PageRankConfig) -> PageRankResul
         next.iter_mut().for_each(|x| *x = 0.0);
 
         // d · Mᵀ P: each citing paper u spreads d·p[u]/outdeg(u) to the
-        // papers it cites; dangling mass spreads uniformly.
+        // papers it cites; dangling mass is collected for redistribution.
         let mut dangling_mass = 0.0f64;
         for u in 0..n as u32 {
             let refs = graph.references(u);
@@ -281,15 +183,25 @@ pub fn pagerank(graph: &CitationGraph, config: &PageRankConfig) -> PageRankResul
                 }
             }
         }
-        let dangling_share = d * dangling_mass * inv_n;
 
         let total: f64 = p.iter().sum();
-        let teleport = match config.teleport {
-            TeleportMode::Constant => 1.0 - d,
-            TeleportMode::MassProportional => (1.0 - d) * total * inv_n,
-        };
-        for x in next.iter_mut() {
-            *x += dangling_share + teleport;
+        match bias {
+            Some(b) => {
+                let redistribute = d * dangling_mass + (1.0 - d) * total;
+                for (x, &bi) in next.iter_mut().zip(b) {
+                    *x += redistribute * bi;
+                }
+            }
+            None => {
+                let dangling_share = d * dangling_mass * inv_n;
+                let teleport = match config.teleport {
+                    TeleportMode::Constant => 1.0 - d,
+                    TeleportMode::MassProportional => (1.0 - d) * total * inv_n,
+                };
+                for x in next.iter_mut() {
+                    *x += dangling_share + teleport;
+                }
+            }
         }
 
         let delta: f64 = p.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
@@ -465,50 +377,6 @@ mod tests {
         let u = pagerank(&g, &PageRankConfig::default()).scores;
         for (a, b) in z.iter().zip(&u) {
             assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn weighted_with_unit_weights_matches_plain() {
-        let g = CitationGraph::from_edges(6, &[(1, 0), (2, 0), (3, 1), (4, 2), (5, 0), (2, 3)]);
-        let cfg = PageRankConfig::default();
-        let plain = pagerank(&g, &cfg).scores;
-        let weighted = pagerank_weighted(&g, &cfg, |_, _| 1.0).scores;
-        for (a, b) in plain.iter().zip(&weighted) {
-            assert!((a - b).abs() < 1e-9, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn zero_weight_edges_are_absent() {
-        // 1 cites 0 and 2; suppressing the edge to 2 should match the
-        // graph without it.
-        let g = CitationGraph::from_edges(3, &[(1, 0), (1, 2)]);
-        let cfg = PageRankConfig::default();
-        let suppressed =
-            pagerank_weighted(&g, &cfg, |u, v| if (u, v) == (1, 2) { 0.0 } else { 1.0 }).scores;
-        let g2 = CitationGraph::from_edges(3, &[(1, 0)]);
-        let reference = pagerank(&g2, &cfg).scores;
-        for (a, b) in suppressed.iter().zip(&reference) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn heavier_edges_attract_more_mass() {
-        // 2 cites both 0 and 1; weight favors 0.
-        let g = CitationGraph::from_edges(3, &[(2, 0), (2, 1)]);
-        let cfg = PageRankConfig::default();
-        let s = pagerank_weighted(&g, &cfg, |_, v| if v == 0 { 3.0 } else { 1.0 }).scores;
-        assert!(s[0] > s[1]);
-    }
-
-    #[test]
-    fn all_zero_weights_degenerate_to_uniform() {
-        let g = CitationGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let s = pagerank_weighted(&g, &PageRankConfig::default(), |_, _| 0.0).scores;
-        for &x in &s {
-            assert!((x - 1.0 / 3.0).abs() < 1e-9);
         }
     }
 

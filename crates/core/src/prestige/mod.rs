@@ -233,13 +233,12 @@ impl PrestigeScores {
     }
 }
 
-/// Task 2 of the paradigm, shared by [`crate::ContextSearchEngine`] and
-/// [`crate::Searcher`]: compute one prestige table with explicit
+/// Task 2 of the paradigm: compute one prestige table with explicit
 /// options. `patterns` is only invoked when `function` is
-/// [`ScoreFunction::Pattern`] (the engine builds lazily; the searcher
-/// reads the snapshot's mined patterns).
+/// [`ScoreFunction::Pattern`] (the CLI's `prestige` command mines them
+/// on demand; [`crate::Searcher`] reads the snapshot's mined patterns).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_prestige(
+pub fn compute_prestige(
     ontology: &Ontology,
     corpus: &Corpus,
     index: &CorpusIndex,

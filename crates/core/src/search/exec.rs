@@ -1,27 +1,23 @@
-//! The shared online query path.
+//! The online query path, as an `impl` block on [`Searcher`].
 //!
-//! [`QueryParts`] borrows the four immutable pieces every query needs —
-//! ontology, corpus, config, index — and implements context selection,
+//! These methods read only the four immutable pieces every query needs
+//! — ontology, corpus, config, index — from the searcher's
+//! [`crate::EngineSnapshot`], and implement context selection,
 //! relevancy scoring, and the auxiliary lookups (snippets, baseline
-//! keyword search, AC-answer sets, more-like-this). Both front-ends
-//! delegate here: [`ContextSearchEngine`](super::engine::ContextSearchEngine)
-//! (owns the pieces directly) and [`Searcher`](super::serve::Searcher)
-//! (borrows them from an immutable [`crate::EngineSnapshot`]). Nothing
-//! on this path takes a lock or mutates shared state, so any number of
-//! threads can execute it concurrently over the same borrowed parts;
-//! per-query working memory comes from the thread-local
+//! keyword search, AC-answer sets, more-like-this). Nothing on this
+//! path takes a lock or mutates shared state, so any number of threads
+//! can execute it concurrently over the same snapshot; per-query
+//! working memory comes from the thread-local
 //! [`crate::search::scratch::QueryScratch`] pool, so the steady-state
 //! path is also allocation-light.
 
 use crate::ac_answer::ac_answer_set;
-use crate::config::EngineConfig;
 use crate::context::{ContextId, ContextPaperSets};
-use crate::indexes::CorpusIndex;
 use crate::prestige::PrestigeScores;
 use crate::search::scratch::with_scratch;
 use crate::search::select::select_contexts;
-use corpus::{Corpus, PaperId};
-use ontology::Ontology;
+use crate::search::serve::Searcher;
+use corpus::PaperId;
 use std::collections::HashSet;
 
 /// One ranked context-based search result.
@@ -72,21 +68,12 @@ pub(crate) fn rank_order(a: &SearchResult, b: &SearchResult) -> std::cmp::Orderi
         .then(a.paper.cmp(&b.paper))
 }
 
-/// Borrowed immutable state for one query execution.
-#[derive(Clone, Copy)]
-pub(crate) struct QueryParts<'a> {
-    pub ontology: &'a Ontology,
-    pub corpus: &'a Corpus,
-    pub config: &'a EngineConfig,
-    pub index: &'a CorpusIndex,
-}
-
-impl QueryParts<'_> {
+impl Searcher {
     /// Task 3: select the contexts a query should search.
     pub fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
         let _span = obs::span("search.select_contexts");
-        let tokens = self.corpus.analyze_known(query);
-        let selected = select_contexts(&tokens, self.index, sets, &self.config.selection);
+        let tokens = self.corpus().analyze_known(query);
+        let selected = select_contexts(&tokens, self.index(), sets, &self.config().selection);
         if obs::trace_enabled() {
             obs::trace_instant(
                 "search.contexts_selected",
@@ -103,9 +90,9 @@ impl QueryParts<'_> {
                         ("context".to_string(), c.index().into()),
                         (
                             "name".to_string(),
-                            self.ontology.term(c).name.as_str().into(),
+                            self.ontology().term(c).name.as_str().into(),
                         ),
-                        ("level".to_string(), self.ontology.level(c).into()),
+                        ("level".to_string(), self.ontology().level(c).into()),
                         ("match_score".to_string(), score.into()),
                         ("members".to_string(), sets.members(c).len().into()),
                     ],
@@ -115,9 +102,12 @@ impl QueryParts<'_> {
         selected
     }
 
-    /// Tasks 4 + 5: search within the selected contexts and rank by
-    /// relevancy; results from different contexts are merged by keeping
-    /// each paper's best relevancy. `limit = 0` means unlimited.
+    /// Tasks 4 + 5 with explicit tables: search within the selected
+    /// contexts and rank by relevancy; results from different contexts
+    /// are merged by keeping each paper's best relevancy. `limit = 0`
+    /// means unlimited. [`query`](Self::query) calls this with the
+    /// snapshot's own tables; the experiment harness passes ablation
+    /// variants here.
     pub fn search(
         &self,
         query: &str,
@@ -150,13 +140,13 @@ impl QueryParts<'_> {
                 ],
             );
         }
-        let qvec = self.index.query_vector(self.corpus, query);
+        let qvec = self.index().query_vector(self.corpus(), query);
         let contexts = self.select_contexts(query, sets);
         with_scratch(|scratch| {
-            scratch.begin(self.corpus.len());
+            scratch.begin(self.corpus().len());
             {
                 let _s = obs::span("search.candidates");
-                scratch.gather_candidates(self.index, &qvec);
+                scratch.gather_candidates(self.index(), &qvec);
             }
             if tracing {
                 obs::trace_instant(
@@ -169,7 +159,7 @@ impl QueryParts<'_> {
             let mut scored_pairs = 0u64;
             let n_contexts = contexts.len() as u64;
             for &(context, _ctx_score) in &contexts {
-                scored_pairs += scratch.score_context(prestige, context, &self.config.relevancy);
+                scored_pairs += scratch.score_context(prestige, context, &self.config().relevancy);
             }
             if tracing {
                 obs::trace_instant(
@@ -203,9 +193,9 @@ impl QueryParts<'_> {
     /// the paper's precision/separability numbers.
     fn trace_explain_hits(&self, hits: &[SearchResult]) {
         const EXPLAIN_TOP_K: usize = 10;
-        let w = &self.config.relevancy;
+        let w = &self.config().relevancy;
         for (rank, h) in hits.iter().take(EXPLAIN_TOP_K).enumerate() {
-            let term = self.ontology.term(h.context);
+            let term = self.ontology().term(h.context);
             obs::trace_instant(
                 "explain.hit",
                 vec![
@@ -220,7 +210,7 @@ impl QueryParts<'_> {
                     ("context_name".to_string(), term.name.as_str().into()),
                     (
                         "context_level".to_string(),
-                        self.ontology.level(h.context).into(),
+                        self.ontology().level(h.context).into(),
                     ),
                 ],
             );
@@ -229,20 +219,20 @@ impl QueryParts<'_> {
 
     /// The PubMed-style keyword-search baseline over the whole corpus.
     pub fn keyword_search(&self, query: &str, min_score: f64) -> Vec<(PaperId, f64)> {
-        let qvec = self.index.query_vector(self.corpus, query);
-        self.index.keyword_search(&qvec, min_score)
+        let qvec = self.index().query_vector(self.corpus(), query);
+        self.index().keyword_search(&qvec, min_score)
     }
 
     /// Display snippet for a hit: the abstract window best covering the
     /// query (falls back to the title when nothing matches there).
     pub fn snippet(&self, paper: PaperId, query: &str) -> String {
-        let terms = self.corpus.analyze_known(query);
-        let p = self.corpus.paper(paper);
+        let terms = self.corpus().analyze_known(query);
+        let p = self.corpus().paper(paper);
         textproc::snippet::best_snippet(
             &p.abstract_text,
             &terms,
-            self.corpus.vocab(),
-            &self.index.model,
+            self.corpus().vocab(),
+            &self.index().model,
             &textproc::snippet::SnippetConfig::default(),
         )
         .unwrap_or_else(|| p.title.clone())
@@ -256,21 +246,197 @@ impl QueryParts<'_> {
         source: PaperId,
         limit: usize,
     ) -> Vec<crate::search::related::RelatedPaper> {
-        crate::search::related::more_like_this(self.index, self.config, sets, source, limit)
+        crate::search::related::more_like_this(self.index(), self.config(), sets, source, limit)
     }
 
     /// The §2 AC-answer ground-truth set for a query.
     pub fn ac_answer_set(&self, query: &str) -> HashSet<PaperId> {
-        let qvec = self.index.query_vector(self.corpus, query);
-        ac_answer_set(self.index, &self.config.ac, &qvec)
+        let qvec = self.index().query_vector(self.corpus(), query);
+        ac_answer_set(self.index(), &self.config().ac, &qvec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ontology::TermId;
+    use crate::config::EngineConfig;
+    use crate::context::ContextSetKind;
+    use crate::prestige::citation_weighted::CrossContextWeights;
+    use crate::prestige::ScoreFunction;
+    use crate::snapshot::{EngineSnapshot, PrepareOptions};
+    use corpus::{generate_corpus, CorpusConfig};
+    use ontology::{generate_ontology, GeneratorConfig, TermId};
     use std::cmp::Ordering;
+
+    const PATTERN: ContextSetKind = ContextSetKind::PatternBased;
+
+    /// A searcher over the pairs these tests query.
+    fn searcher() -> Searcher {
+        let onto = generate_ontology(&GeneratorConfig {
+            n_terms: 80,
+            seed: 3,
+            ..Default::default()
+        });
+        let corpus = generate_corpus(
+            &onto,
+            &CorpusConfig {
+                n_papers: 200,
+                seed: 5,
+                body_len: (40, 60),
+                abstract_len: (20, 30),
+                ..Default::default()
+            },
+        );
+        let pairs = vec![
+            (PATTERN, ScoreFunction::Pattern),
+            (PATTERN, ScoreFunction::Citation),
+            (ContextSetKind::TextBased, ScoreFunction::Text),
+        ];
+        EngineSnapshot::prepare_with(
+            onto,
+            corpus,
+            EngineConfig::default(),
+            PrepareOptions { pairs },
+        )
+        .searcher()
+    }
+
+    fn a_query(s: &Searcher) -> (String, ContextId) {
+        // Query the deepest available mid-level term's name; it maps to
+        // that term.
+        let target = s.ontology().max_level().clamp(3, 4);
+        let term = s
+            .ontology()
+            .term_ids()
+            .find(|&t| s.ontology().level(t) == target)
+            .expect("mid-level term");
+        (s.ontology().term(term).name.clone(), term)
+    }
+
+    fn pattern_query(s: &Searcher, q: &str, limit: usize) -> Vec<SearchResult> {
+        s.query(q, PATTERN, ScoreFunction::Pattern, limit)
+            .expect("prepared pair")
+    }
+
+    #[test]
+    fn end_to_end_search_returns_ranked_results() {
+        let s = searcher();
+        let (q, _) = a_query(&s);
+        let hits = pattern_query(&s, &q, 20);
+        assert!(!hits.is_empty(), "query {q:?} found nothing");
+        for w in hits.windows(2) {
+            assert!(w[0].relevancy >= w[1].relevancy);
+        }
+        for h in &hits {
+            assert!((0.0..=1.0 + 1e-9).contains(&h.relevancy));
+            assert!(s.sets(PATTERN).is_member(h.context, h.paper));
+        }
+    }
+
+    #[test]
+    fn search_results_are_topically_relevant() {
+        let s = searcher();
+        let (q, term) = a_query(&s);
+        let hits = pattern_query(&s, &q, 10);
+        // At least one top hit's true topics relate to the query term
+        // (itself, an ancestor, or a descendant).
+        let related = hits.iter().any(|h| {
+            s.corpus().paper(h.paper).true_topics.iter().any(|&t| {
+                t == term
+                    || s.ontology().is_descendant(t, term)
+                    || s.ontology().is_descendant(term, t)
+            })
+        });
+        assert!(related, "no topically related paper in top hits for {q:?}");
+    }
+
+    #[test]
+    fn context_search_output_is_smaller_than_keyword_search() {
+        // The paper's headline: context-based search reduces output size.
+        let s = searcher();
+        let (q, _) = a_query(&s);
+        let keyword = s.keyword_search(&q, 0.0);
+        let context = pattern_query(&s, &q, 0);
+        assert!(
+            context.len() <= keyword.len(),
+            "context {} vs keyword {}",
+            context.len(),
+            keyword.len()
+        );
+    }
+
+    #[test]
+    fn limit_zero_means_unlimited() {
+        let s = searcher();
+        let (q, _) = a_query(&s);
+        let all = pattern_query(&s, &q, 0);
+        let limited = pattern_query(&s, &q, 3);
+        assert!(limited.len() <= 3);
+        assert!(all.len() >= limited.len());
+    }
+
+    #[test]
+    fn prestige_functions_cover_expected_contexts() {
+        let s = searcher();
+        let psets = s.sets(PATTERN);
+        // Citation and pattern scores exist for all pattern contexts.
+        for function in [ScoreFunction::Citation, ScoreFunction::Pattern] {
+            let table = s.prestige(PATTERN, function).expect("prepared pair");
+            assert_eq!(table.contexts().count(), psets.n_contexts());
+        }
+        // Text scores only where representatives exist.
+        let tsets = s.sets(ContextSetKind::TextBased);
+        let txt = s
+            .prestige(ContextSetKind::TextBased, ScoreFunction::Text)
+            .expect("prepared pair");
+        assert_eq!(txt.contexts().count(), tsets.representatives.len());
+    }
+
+    #[test]
+    fn snippets_cover_query_or_fall_back_to_title() {
+        let s = searcher();
+        let (q, _) = a_query(&s);
+        for h in &pattern_query(&s, &q, 5) {
+            assert!(!s.snippet(h.paper, &q).is_empty());
+        }
+        // Nonsense query → title fallback.
+        let snippet = s.snippet(PaperId(0), "zzznonsense");
+        assert_eq!(snippet, s.corpus().paper(PaperId(0)).title);
+    }
+
+    #[test]
+    fn weighted_citation_prestige_reduces_ties() {
+        let s = searcher();
+        let sets = s.sets(PATTERN);
+        let plain = s
+            .prestige(PATTERN, ScoreFunction::Citation)
+            .expect("prepared pair");
+        let weighted = s.weighted_citation_prestige(sets, &CrossContextWeights::default());
+        let tie_fraction = |p: &PrestigeScores| {
+            let (mut total, mut distinct) = (0usize, 0usize);
+            for c in sets.contexts_with_min_size(5) {
+                let values: Vec<u64> = p.scores(c).iter().map(|&(_, s)| s.to_bits()).collect();
+                total += values.len();
+                distinct += values.iter().collect::<HashSet<_>>().len();
+            }
+            1.0 - distinct as f64 / total.max(1) as f64
+        };
+        assert!(
+            tie_fraction(&weighted) <= tie_fraction(plain) + 1e-9,
+            "weighted variant must not add ties"
+        );
+        // Coverage identical.
+        assert_eq!(plain.contexts().count(), weighted.contexts().count());
+    }
+
+    #[test]
+    fn nonsense_query_returns_empty() {
+        let s = searcher();
+        let hits = s
+            .query("zzz qqq xxx", PATTERN, ScoreFunction::Citation, 10)
+            .expect("prepared pair");
+        assert!(hits.is_empty());
+    }
 
     fn result(paper: u32, relevancy: f64) -> SearchResult {
         SearchResult {

@@ -7,7 +7,7 @@
 
 use crate::context::ContextId;
 use crate::indexes::CorpusIndex;
-use crate::search::engine::SearchResult;
+use crate::search::exec::SearchResult;
 use corpus::{Corpus, PaperId};
 use ontology::Ontology;
 
@@ -104,12 +104,16 @@ pub fn explain_hit(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::search::engine::ContextSearchEngine;
+    use crate::context::ContextSetKind;
+    use crate::search::Searcher;
+    use crate::snapshot::{EngineSnapshot, PrepareOptions};
     use crate::ScoreFunction;
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
 
-    fn engine() -> ContextSearchEngine {
+    const PATTERN: ContextSetKind = ContextSetKind::PatternBased;
+
+    fn searcher() -> Searcher {
         let onto = generate_ontology(&GeneratorConfig {
             n_terms: 80,
             seed: 3,
@@ -125,21 +129,33 @@ mod tests {
                 ..Default::default()
             },
         );
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        let pairs = vec![
+            (PATTERN, ScoreFunction::Pattern),
+            (PATTERN, ScoreFunction::Citation),
+        ];
+        EngineSnapshot::prepare_with(
+            onto,
+            corp,
+            EngineConfig::default(),
+            PrepareOptions { pairs },
+        )
+        .searcher()
+    }
+
+    fn level_3_query(s: &Searcher) -> String {
+        let term = s
+            .ontology()
+            .term_ids()
+            .find(|&t| s.ontology().level(t) == 3)
+            .unwrap();
+        s.ontology().term(term).name.clone()
     }
 
     #[test]
     fn explanation_reconstructs_the_hit() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Pattern);
-        let term = e
-            .ontology()
-            .term_ids()
-            .find(|&t| e.ontology().level(t) == 3)
-            .unwrap();
-        let query = e.ontology().term(term).name.clone();
-        let hits = e.search(&query, &sets, &prestige, 3);
+        let e = searcher();
+        let query = level_3_query(&e);
+        let hits = e.query(&query, PATTERN, ScoreFunction::Pattern, 3).unwrap();
         assert!(!hits.is_empty());
         for hit in &hits {
             let ex = explain_hit(e.ontology(), e.corpus(), e.index(), &query, hit);
@@ -166,16 +182,11 @@ mod tests {
 
     #[test]
     fn unmatched_terms_are_absent() {
-        let e = engine();
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Citation);
-        let term = e
-            .ontology()
-            .term_ids()
-            .find(|&t| e.ontology().level(t) == 3)
+        let e = searcher();
+        let query = level_3_query(&e);
+        let hits = e
+            .query(&query, PATTERN, ScoreFunction::Citation, 1)
             .unwrap();
-        let query = e.ontology().term(term).name.clone();
-        let hits = e.search(&query, &sets, &prestige, 1);
         if let Some(hit) = hits.first() {
             let ex = explain_hit(e.ontology(), e.corpus(), e.index(), &query, hit);
             for t in &ex.matched_terms {

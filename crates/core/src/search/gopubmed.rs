@@ -131,11 +131,14 @@ pub fn gopubmed_search(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::search::engine::ContextSearchEngine;
+    use crate::snapshot::{EngineSnapshot, PrepareOptions};
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
+    use std::sync::Arc;
 
-    fn engine() -> ContextSearchEngine {
+    /// GoPubMed needs only the corpus index, so no prestige pair is
+    /// prepared.
+    fn engine() -> Arc<EngineSnapshot> {
         let onto = generate_ontology(&GeneratorConfig {
             n_terms: 80,
             seed: 3,
@@ -151,7 +154,12 @@ mod tests {
                 ..Default::default()
             },
         );
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        EngineSnapshot::prepare_with(
+            onto,
+            corp,
+            EngineConfig::default(),
+            PrepareOptions { pairs: Vec::new() },
+        )
     }
 
     #[test]

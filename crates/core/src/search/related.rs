@@ -74,11 +74,16 @@ pub fn more_like_this(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::engine::ContextSearchEngine;
+    use crate::context::ContextSetKind;
+    use crate::prestige::ScoreFunction;
+    use crate::snapshot::{EngineSnapshot, PrepareOptions};
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
+    use std::sync::Arc;
 
-    fn engine() -> ContextSearchEngine {
+    /// A snapshot with the pattern-based paper sets (one cheap prestige
+    /// pair over them, since the sets are what these tests read).
+    fn engine() -> Arc<EngineSnapshot> {
         let onto = generate_ontology(&GeneratorConfig {
             n_terms: 80,
             seed: 3,
@@ -94,15 +99,21 @@ mod tests {
                 ..Default::default()
             },
         );
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
+        let pairs = vec![(ContextSetKind::PatternBased, ScoreFunction::Citation)];
+        EngineSnapshot::prepare_with(
+            onto,
+            corp,
+            EngineConfig::default(),
+            PrepareOptions { pairs },
+        )
     }
 
     #[test]
     fn related_papers_share_a_context_and_sort_by_similarity() {
         let e = engine();
-        let sets = e.pattern_context_sets();
+        let sets = e.sets(ContextSetKind::PatternBased);
         let source = PaperId(10);
-        let related = more_like_this(e.index(), e.config(), &sets, source, 10);
+        let related = more_like_this(e.index(), e.config(), sets, source, 10);
         assert!(!related.is_empty(), "paper 10 should have relatives");
         for r in &related {
             assert_ne!(r.paper, source);
@@ -118,11 +129,11 @@ mod tests {
     #[test]
     fn top_relative_tends_to_share_a_topic() {
         let e = engine();
-        let sets = e.pattern_context_sets();
+        let sets = e.sets(ContextSetKind::PatternBased);
         let mut topical_hits = 0;
         let mut checked = 0;
         for source in (0..60).map(PaperId) {
-            let related = more_like_this(e.index(), e.config(), &sets, source, 1);
+            let related = more_like_this(e.index(), e.config(), sets, source, 1);
             let Some(top) = related.first() else { continue };
             checked += 1;
             let src_topics = &e.corpus().paper(source).true_topics;
@@ -147,8 +158,8 @@ mod tests {
     #[test]
     fn limit_and_missing_source() {
         let e = engine();
-        let sets = e.pattern_context_sets();
-        let related = more_like_this(e.index(), e.config(), &sets, PaperId(5), 3);
+        let sets = e.sets(ContextSetKind::PatternBased);
+        let related = more_like_this(e.index(), e.config(), sets, PaperId(5), 3);
         assert!(related.len() <= 3);
         // A paper id outside every context (fabricated empty sets).
         let empty = ContextPaperSets::new(Default::default(), sets.kind);

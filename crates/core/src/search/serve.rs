@@ -2,18 +2,17 @@
 //!
 //! A [`Searcher`] is a cheap, cloneable handle (`Arc` clone) that any
 //! number of threads can use concurrently: every query reads only the
-//! snapshot's immutable state through [`QueryParts`], so the hot path
-//! takes zero locks — no `RwLock`, no lazy initialization, no interior
-//! mutability of any kind. Results are deterministic and identical
-//! across threads (asserted by the `snapshot_serving` integration
-//! test).
+//! snapshot's immutable state (the query methods live in
+//! `search/exec.rs`), so the hot path takes zero locks — no `RwLock`,
+//! no lazy initialization, no interior mutability of any kind. Results
+//! are deterministic and identical across threads (asserted by the
+//! `snapshot_serving` integration test).
 
-use crate::context::{ContextId, ContextPaperSets, ContextSetKind};
+use crate::context::{ContextPaperSets, ContextSetKind};
 use crate::prestige::{PrestigeScores, ScoreFunction};
-use crate::search::exec::{QueryParts, QueryStats, SearchResult};
+use crate::search::exec::{QueryStats, SearchResult};
 use crate::snapshot::EngineSnapshot;
-use corpus::PaperId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A serve-time problem: the snapshot lacks a requested table.
@@ -136,15 +135,6 @@ impl Searcher {
         self.snapshot.prestige(kind, function)
     }
 
-    fn parts(&self) -> QueryParts<'_> {
-        QueryParts {
-            ontology: self.snapshot.ontology(),
-            corpus: self.snapshot.corpus(),
-            config: self.snapshot.config(),
-            index: self.snapshot.index(),
-        }
-    }
-
     /// Serve one query against a prepared (paper set, function) pair.
     pub fn query(
         &self,
@@ -174,62 +164,7 @@ impl Searcher {
             obs::counter("serve.errors", 1);
             return Err(ServeError::MissingPrestige { kind, function });
         };
-        Ok(self
-            .parts()
-            .search_with_stats(query, self.sets(kind), prestige, limit))
-    }
-
-    /// Tasks 4 + 5 with explicit tables (the engine-compatible form;
-    /// the experiment harness passes ablation variants through here).
-    pub fn search(
-        &self,
-        query: &str,
-        sets: &ContextPaperSets,
-        prestige: &PrestigeScores,
-        limit: usize,
-    ) -> Vec<SearchResult> {
-        self.parts().search(query, sets, prestige, limit)
-    }
-
-    /// [`search`](Self::search) plus the execution's [`QueryStats`].
-    pub fn search_with_stats(
-        &self,
-        query: &str,
-        sets: &ContextPaperSets,
-        prestige: &PrestigeScores,
-        limit: usize,
-    ) -> (Vec<SearchResult>, QueryStats) {
-        self.parts().search_with_stats(query, sets, prestige, limit)
-    }
-
-    /// Task 3: select the contexts a query should search.
-    pub fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
-        self.parts().select_contexts(query, sets)
-    }
-
-    /// The PubMed-style keyword-search baseline over the whole corpus.
-    pub fn keyword_search(&self, query: &str, min_score: f64) -> Vec<(PaperId, f64)> {
-        self.parts().keyword_search(query, min_score)
-    }
-
-    /// Display snippet for a hit.
-    pub fn snippet(&self, paper: PaperId, query: &str) -> String {
-        self.parts().snippet(paper, query)
-    }
-
-    /// "More like this" over shared contexts.
-    pub fn more_like_this(
-        &self,
-        sets: &ContextPaperSets,
-        source: PaperId,
-        limit: usize,
-    ) -> Vec<crate::search::related::RelatedPaper> {
-        self.parts().more_like_this(sets, source, limit)
-    }
-
-    /// The §2 AC-answer ground-truth set for a query.
-    pub fn ac_answer_set(&self, query: &str) -> HashSet<PaperId> {
-        self.parts().ac_answer_set(query)
+        Ok(self.search_with_stats(query, self.sets(kind), prestige, limit))
     }
 
     /// Recompute a prestige table with explicit options (ablation hook;
@@ -287,7 +222,6 @@ impl Searcher {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::search::engine::ContextSearchEngine;
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
 
@@ -312,38 +246,25 @@ mod tests {
 
     #[test]
     fn searcher_matches_the_engine_exactly() {
+        // `query` resolves the snapshot's own tables; `search` with those
+        // tables passed explicitly must give the same results bit for bit.
         let (onto, corp) = testbed();
-        let snap = EngineSnapshot::prepare(onto.clone(), corp.clone(), EngineConfig::default());
-        let searcher = snap.searcher();
-        let engine = ContextSearchEngine::build(onto, corp, EngineConfig::default());
-        let sets = engine.pattern_context_sets();
-        let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
-        for query in ["biological process", "binding", "molecular function"] {
-            let via_engine = engine.search(query, &sets, &prestige, 0);
-            let via_searcher = searcher
-                .query(
-                    query,
-                    ContextSetKind::PatternBased,
-                    ScoreFunction::Pattern,
-                    0,
-                )
-                .unwrap();
-            assert_eq!(via_engine.len(), via_searcher.len(), "query {query:?}");
-            for (a, b) in via_engine.iter().zip(&via_searcher) {
-                assert_eq!(a.paper, b.paper);
-                assert_eq!(a.relevancy, b.relevancy);
-                assert_eq!(a.matching, b.matching);
-                assert_eq!(a.prestige, b.prestige);
-                assert_eq!(a.context, b.context);
+        let searcher = EngineSnapshot::prepare(onto, corp, EngineConfig::default()).searcher();
+        for (kind, function) in searcher.snapshot().pairs() {
+            let sets = searcher.sets(kind);
+            let prestige = searcher.prestige(kind, function).unwrap();
+            for query in ["biological process", "binding", "molecular function"] {
+                let via_query = searcher.query(query, kind, function, 0).unwrap();
+                let via_search = searcher.search(query, sets, prestige, 0);
+                assert_eq!(via_query.len(), via_search.len(), "query {query:?}");
+                for (a, b) in via_query.iter().zip(&via_search) {
+                    assert_eq!(a.paper, b.paper);
+                    assert_eq!(a.relevancy.to_bits(), b.relevancy.to_bits());
+                    assert_eq!(a.matching.to_bits(), b.matching.to_bits());
+                    assert_eq!(a.prestige.to_bits(), b.prestige.to_bits());
+                    assert_eq!(a.context, b.context);
+                }
             }
-        }
-        // The baseline and ground-truth hooks agree too.
-        for query in ["biological process", "binding"] {
-            assert_eq!(
-                engine.keyword_search(query, 0.1),
-                searcher.keyword_search(query, 0.1)
-            );
-            assert_eq!(engine.ac_answer_set(query), searcher.ac_answer_set(query));
         }
     }
 

@@ -384,7 +384,7 @@ impl EngineSnapshot {
 mod tests {
     use super::*;
     use crate::persist::{context_sets_to_json, prestige_to_json};
-    use crate::search::engine::ContextSearchEngine;
+    use crate::prestige::compute_prestige;
     use corpus::{generate_corpus, CorpusConfig};
     use ontology::{generate_ontology, GeneratorConfig};
 
@@ -481,13 +481,28 @@ mod tests {
 
     #[test]
     fn snapshot_matches_the_legacy_engine() {
-        // The refactor must not change any prepared numbers: the plan
-        // path and the engine's piecemeal path agree exactly.
+        // The plan must not change any prepared numbers: the plan path
+        // and the stage functions called one by one agree exactly.
         let snap = prepare_with_threads(1);
         let (onto, corp) = testbed();
-        let engine = ContextSearchEngine::build(onto, corp, EngineConfig::default());
-        let text_sets = engine.text_context_sets();
-        let pattern_sets = engine.pattern_context_sets();
+        let config = EngineConfig::default();
+        let index = CorpusIndex::build(&onto, &corp, &config.pagerank);
+        let text_sets = build_text_sets(&onto, &corp, &index, &config);
+        let patterns = Arc::new(patterns_by_context(&onto, &corp, &index, &config));
+        let pattern_sets = build_pattern_sets(&onto, &corp, &index, &patterns, &config);
+        let prestige = |sets: &ContextPaperSets, function| {
+            compute_prestige(
+                &onto,
+                &corp,
+                &index,
+                &config,
+                sets,
+                function,
+                true,
+                true,
+                || Arc::clone(&patterns),
+            )
+        };
         assert_eq!(
             context_sets_to_json(snap.sets(ContextSetKind::TextBased)).unwrap(),
             context_sets_to_json(&text_sets).unwrap()
@@ -500,29 +515,29 @@ mod tests {
             (
                 ContextSetKind::TextBased,
                 ScoreFunction::Text,
-                engine.prestige(&text_sets, ScoreFunction::Text),
+                prestige(&text_sets, ScoreFunction::Text),
             ),
             (
                 ContextSetKind::TextBased,
                 ScoreFunction::Citation,
-                engine.prestige(&text_sets, ScoreFunction::Citation),
+                prestige(&text_sets, ScoreFunction::Citation),
             ),
             (
                 ContextSetKind::PatternBased,
                 ScoreFunction::Pattern,
-                engine.prestige(&pattern_sets, ScoreFunction::Pattern),
+                prestige(&pattern_sets, ScoreFunction::Pattern),
             ),
             (
                 ContextSetKind::PatternBased,
                 ScoreFunction::Citation,
-                engine.prestige(&pattern_sets, ScoreFunction::Citation),
+                prestige(&pattern_sets, ScoreFunction::Citation),
             ),
         ];
         for (k, f, expected) in &cases {
             assert_eq!(
                 prestige_to_json(snap.prestige(*k, *f).unwrap()).unwrap(),
                 prestige_to_json(expected).unwrap(),
-                "{}/{} differs from the engine path",
+                "{}/{} differs from the stage-function path",
                 k.name(),
                 f.name()
             );
@@ -532,7 +547,7 @@ mod tests {
         let expected = {
             let mut view = pattern_sets.clone();
             view.representatives = text_sets.representatives.clone();
-            engine.prestige(&view, ScoreFunction::Text)
+            prestige(&view, ScoreFunction::Text)
         };
         assert_eq!(
             prestige_to_json(

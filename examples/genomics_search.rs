@@ -9,17 +9,26 @@
 //!
 //! Run with: `cargo run --release --example genomics_search`
 
-use litsearch::context_search::ScoreFunction;
+use litsearch::context_search::{
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction,
+};
 use litsearch::corpus::queries::{generate_queries, QueryConfig};
-use litsearch::demo::{engine, Scale};
+use litsearch::demo::{configs, Scale};
 use litsearch::eval::precision;
 use std::collections::HashSet;
 
 fn main() {
-    println!("building demo engine (small scale — a minute or so)...");
-    let engine = engine(Scale::Small, 7);
-    let sets = engine.pattern_context_sets();
-    let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
+    println!("preparing demo snapshot (small scale — a minute or so)...");
+    let (ocfg, ccfg) = configs(Scale::Small, 7);
+    let ontology = litsearch::ontology::generate_ontology(&ocfg);
+    let corpus = litsearch::corpus::generate_corpus(&ontology, &ccfg);
+    // Only the one (paper set, function) pair this example queries.
+    let (kind, function) = (ContextSetKind::PatternBased, ScoreFunction::Pattern);
+    let options = PrepareOptions {
+        pairs: vec![(kind, function)],
+    };
+    let engine =
+        EngineSnapshot::prepare_with(ontology, corpus, EngineConfig::default(), options).searcher();
 
     let queries = generate_queries(
         engine.ontology(),
@@ -48,7 +57,8 @@ fn main() {
         // reduction comes from.
         let keyword = engine.keyword_search(&q.text, 0.10);
         let context: Vec<_> = engine
-            .search(&q.text, &sets, &prestige, 0)
+            .query(&q.text, kind, function, 0)
+            .expect("prepared pair")
             .into_iter()
             .filter(|h| h.matching > 0.10)
             .collect();

@@ -4,12 +4,14 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use litsearch::context_search::ScoreFunction;
-use litsearch::demo::{engine, Scale};
+use litsearch::context_search::{ContextSetKind, ScoreFunction};
+use litsearch::demo::{snapshot, Scale};
 
 fn main() {
-    println!("building demo engine (tiny scale)...");
-    let engine = engine(Scale::Tiny, 42);
+    // Tasks 1 and 2 run offline: preparing the snapshot assigns papers
+    // to contexts and pre-computes the standard prestige tables.
+    println!("preparing demo snapshot (tiny scale)...");
+    let engine = snapshot(Scale::Tiny, 42).searcher();
     println!(
         "  ontology: {} terms (max level {})",
         engine.ontology().len(),
@@ -17,17 +19,15 @@ fn main() {
     );
     println!("  corpus:   {} papers", engine.corpus().len());
 
-    // Task 1: assign papers to contexts (pattern-based paper set covers
-    // every context; the text-based set needs annotation evidence).
-    let sets = engine.pattern_context_sets();
+    // The pattern-based paper set covers every context; the text-based
+    // set needs annotation evidence.
+    let kind = ContextSetKind::PatternBased;
+    let sets = engine.sets(kind);
     println!(
         "  contexts: {} non-empty (mean size {:.1})",
         sets.n_contexts(),
         sets.mean_size()
     );
-
-    // Task 2: pre-compute prestige scores.
-    let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
 
     // Tasks 3-5: search. Use a mid-level term's name as the query.
     let term = engine
@@ -38,7 +38,12 @@ fn main() {
     let query = engine.ontology().term(term).name.clone();
     println!("\nquery: {query:?}");
 
-    let hits = engine.search(&query, &sets, &prestige, 10);
+    let search = |limit| {
+        engine
+            .query(&query, kind, ScoreFunction::Pattern, limit)
+            .expect("the demo snapshot prepares every standard pair")
+    };
+    let hits = search(10);
     println!(
         "top {} results (relevancy = 0.5·prestige + 0.5·match):",
         hits.len()
@@ -62,7 +67,7 @@ fn main() {
     println!(
         "\nkeyword baseline returned {} papers; context-based search returned {}",
         baseline.len(),
-        engine.search(&query, &sets, &prestige, 0).len()
+        search(0).len()
     );
 }
 

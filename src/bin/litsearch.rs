@@ -13,16 +13,21 @@
 //! ```
 //!
 //! `generate` writes `ontology.obo` (the standard GO distribution
-//! format) and `corpus.json`; `assign`/`prestige` write their artifacts
-//! next to them; `search` loads everything and prints ranked results.
+//! format) and `corpus.json`; `assign`/`prestige` export one context
+//! paper set or prestige table next to them; `search` prepares the one
+//! requested (paper set, function) pair in memory on every call (or
+//! warm-starts from a `prepare`d snapshot, the cheaper path for repeated
+//! searches) and prints ranked results.
 
+use litsearch::context_search::assign::{build_pattern_sets, build_text_sets, patterns_by_context};
+use litsearch::context_search::indexes::CorpusIndex;
 use litsearch::context_search::persist::{
-    context_sets_from_json, context_sets_to_json, load_snapshot, prestige_from_json,
-    prestige_to_json, save_snapshot,
+    context_sets_from_json, context_sets_to_json, load_snapshot, prestige_to_json, save_snapshot,
 };
+use litsearch::context_search::prestige::compute_prestige;
 use litsearch::context_search::{
-    ContextId, ContextPaperSets, ContextSearchEngine, EngineConfig, EngineSnapshot, PrestigeScores,
-    ScoreFunction, SearchResult, Searcher,
+    ContextPaperSets, ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction,
+    Searcher,
 };
 use litsearch::corpus::Corpus;
 use litsearch::ontology::obo::{parse_obo, write_obo};
@@ -200,8 +205,8 @@ fn cmd_top(flags: &Flags) -> Result<(), String> {
     // snapshot costs real time, and a typo'd --kind should fail now,
     // not after the load.
     let kind = match flags.get("kind").unwrap_or("pattern") {
-        "text" => litsearch::context_search::ContextSetKind::TextBased,
-        "pattern" => litsearch::context_search::ContextSetKind::PatternBased,
+        "text" => ContextSetKind::TextBased,
+        "pattern" => ContextSetKind::PatternBased,
         other => return Err(format!("--kind must be text or pattern, got {other:?}")),
     };
     let function = match flags.get("function") {
@@ -369,8 +374,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let slow_threshold_ns = flags.get_usize("slow-threshold-ms", 50)? as u64 * 1_000_000;
     let quality_every = flags.get_usize("quality", 0)? as u64;
     let kind = match flags.get("kind").unwrap_or("pattern") {
-        "text" => litsearch::context_search::ContextSetKind::TextBased,
-        "pattern" => litsearch::context_search::ContextSetKind::PatternBased,
+        "text" => ContextSetKind::TextBased,
+        "pattern" => ContextSetKind::PatternBased,
         other => return Err(format!("--kind must be text or pattern, got {other:?}")),
     };
     let function = match flags.get("function") {
@@ -505,7 +510,12 @@ plan (`--build-threads N` runs independent stages concurrently; 1 forces
 the sequential schedule; both are result-identical) and writes a
 versioned snapshot directory. `search --snapshot DIR` warm-starts from
 that directory, skipping every per-context prestige/PageRank
-computation.
+computation. `search --data DIR` runs the same plan in memory for just
+the requested (kind, function) pair, so both print identical results;
+it repeats that work on every call, so repeated searches over one data
+directory should `prepare` once and use `search --snapshot`.
+`assign` and `prestige` export one context paper set or prestige table
+as JSON; `search` does not read those files.
 
 Any command also accepts `--metrics PATH`: collect telemetry (spans,
 counters, latency histograms) and write a JSON snapshot to PATH.
@@ -686,12 +696,16 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 fn cmd_assign(flags: &Flags) -> Result<(), String> {
     let (ontology, corpus, dir) = load_data(flags)?;
     let kind = parse_kind(flags)?;
+    let config = EngineConfig::default();
     eprintln!("building engine…");
-    let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
+    let index = CorpusIndex::build(&ontology, &corpus, &config.pagerank);
     eprintln!("assigning papers to contexts ({kind})…");
     let sets = match kind {
-        "text" => engine.text_context_sets(),
-        _ => engine.pattern_context_sets(),
+        "text" => build_text_sets(&ontology, &corpus, &index, &config),
+        _ => {
+            let patterns = patterns_by_context(&ontology, &corpus, &index, &config);
+            build_pattern_sets(&ontology, &corpus, &index, &patterns, &config)
+        }
     };
     let path = sets_path(&dir, kind);
     let json = context_sets_to_json(&sets).map_err(|e| e.to_string())?;
@@ -710,10 +724,21 @@ fn cmd_prestige(flags: &Flags) -> Result<(), String> {
     let kind = parse_kind(flags)?;
     let function = parse_function(flags)?;
     let sets = load_sets(&dir, kind)?;
+    let config = EngineConfig::default();
     eprintln!("building engine…");
-    let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
+    let index = CorpusIndex::build(&ontology, &corpus, &config.pagerank);
     eprintln!("computing {} prestige…", function.name());
-    let prestige = engine.prestige(&sets, function);
+    let prestige = compute_prestige(
+        &ontology,
+        &corpus,
+        &index,
+        &config,
+        &sets,
+        function,
+        true, // the §4 simplified (middle-only) pattern matching
+        true, // hierarchy max-propagation
+        || std::sync::Arc::new(patterns_by_context(&ontology, &corpus, &index, &config)),
+    );
     let path = prestige_path(&dir, kind, function);
     let json = prestige_to_json(&prestige).map_err(|e| e.to_string())?;
     std::fs::write(&path, json).map_err(|e| e.to_string())?;
@@ -734,17 +759,6 @@ fn load_sets(dir: &str, kind: &str) -> Result<ContextPaperSets, String> {
         )
     })?;
     context_sets_from_json(&text).map_err(|e| e.to_string())
-}
-
-fn load_prestige(dir: &str, kind: &str, function: ScoreFunction) -> Result<PrestigeScores, String> {
-    let path = prestige_path(dir, kind, function);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read {} (run `litsearch prestige` first): {e}",
-            path.display()
-        )
-    })?;
-    prestige_from_json(&text).map_err(|e| e.to_string())
 }
 
 fn engine_config(flags: &Flags) -> Result<EngineConfig, String> {
@@ -773,138 +787,58 @@ fn cmd_prepare(flags: &Flags) -> Result<(), String> {
     save_snapshot(&snapshot, Path::new(&out)).map_err(|e| e.to_string())?;
     eprintln!(
         "wrote snapshot to {out} ({} contexts text / {} pattern, {} prestige tables)",
-        snapshot
-            .sets(litsearch::context_search::ContextSetKind::TextBased)
-            .n_contexts(),
-        snapshot
-            .sets(litsearch::context_search::ContextSetKind::PatternBased)
-            .n_contexts(),
+        snapshot.sets(ContextSetKind::TextBased).n_contexts(),
+        snapshot.sets(ContextSetKind::PatternBased).n_contexts(),
         snapshot.pairs().len()
     );
     Ok(())
 }
 
-/// The two ways `search` can get a query path: a cold engine build from
-/// the piecemeal `--data` artifacts, or a lock-free [`Searcher`] over a
-/// warm-loaded `--snapshot` directory.
-enum Backend {
-    Cold(Box<ContextSearchEngine>),
-    Warm(
-        Searcher,
-        litsearch::context_search::ContextSetKind,
-        ScoreFunction,
-    ),
-}
-
-impl Backend {
-    fn search(
-        &self,
-        query: &str,
-        sets: &ContextPaperSets,
-        prestige: &PrestigeScores,
-        limit: usize,
-    ) -> Vec<SearchResult> {
-        match self {
-            Self::Cold(e) => e.search(query, sets, prestige, limit),
-            // Warm serving goes through the serve path proper, so every
-            // query carries the `serve.query` span the rolling windows
-            // and SLOs watch. The snapshot holds the same tables the
-            // caller resolved, so results are identical to the explicit
-            // form (and the explicit form is the fallback).
-            Self::Warm(s, kind, function) => s
-                .query(query, *kind, *function, limit)
-                .unwrap_or_else(|_| s.search(query, sets, prestige, limit)),
-        }
-    }
-
-    fn select_contexts(&self, query: &str, sets: &ContextPaperSets) -> Vec<(ContextId, f64)> {
-        match self {
-            Self::Cold(e) => e.select_contexts(query, sets),
-            Self::Warm(s, ..) => s.select_contexts(query, sets),
-        }
-    }
-
-    fn ontology(&self) -> &Ontology {
-        match self {
-            Self::Cold(e) => e.ontology(),
-            Self::Warm(s, ..) => s.ontology(),
-        }
-    }
-
-    fn corpus(&self) -> &Corpus {
-        match self {
-            Self::Cold(e) => e.corpus(),
-            Self::Warm(s, ..) => s.corpus(),
-        }
-    }
-
-    fn snippet(&self, paper: litsearch::corpus::PaperId, query: &str) -> String {
-        match self {
-            Self::Cold(e) => e.snippet(paper, query),
-            Self::Warm(s, ..) => s.snippet(paper, query),
-        }
-    }
-}
-
 fn cmd_search(flags: &Flags) -> Result<(), String> {
-    let kind = parse_kind(flags)?;
+    let kind = match parse_kind(flags)? {
+        "text" => ContextSetKind::TextBased,
+        _ => ContextSetKind::PatternBased,
+    };
     let function = parse_function(flags)?;
     let query = flags.require("query")?.to_string();
     let limit = flags.get_usize("limit", 10)?;
     let repeat = flags.get_usize("repeat", 1)?.max(1);
-    let (engine, sets, prestige) = if let Some(snap_dir) = flags.get("snapshot") {
+    let snapshot = if let Some(snap_dir) = flags.get("snapshot") {
         eprintln!("loading snapshot from {snap_dir}…");
-        let snapshot =
-            load_snapshot(Path::new(snap_dir), engine_config(flags)?).map_err(|e| e.to_string())?;
-        let set_kind = match kind {
-            "text" => litsearch::context_search::ContextSetKind::TextBased,
-            _ => litsearch::context_search::ContextSetKind::PatternBased,
-        };
-        let sets = snapshot.sets(set_kind).clone();
-        let prestige = snapshot
-            .prestige(set_kind, function)
-            .ok_or_else(|| {
-                format!(
-                    "snapshot has no prestige table for ({kind}, {}); re-run `litsearch prepare`",
-                    function.name()
-                )
-            })?
-            .clone();
-        (
-            Backend::Warm(snapshot.searcher(), set_kind, function),
-            sets,
-            prestige,
-        )
+        load_snapshot(Path::new(snap_dir), engine_config(flags)?).map_err(|e| e.to_string())?
     } else {
-        let (ontology, corpus, dir) = load_data(flags)?;
-        let sets = load_sets(&dir, kind)?;
-        let prestige = load_prestige(&dir, kind, function)?;
-        eprintln!("building engine…");
-        let engine = ContextSearchEngine::build(ontology, corpus, EngineConfig::default());
-        (Backend::Cold(Box::new(engine)), sets, prestige)
+        let (ontology, corpus, _dir) = load_data(flags)?;
+        eprintln!("preparing ({}, {})…", kind.name(), function.name());
+        let options = PrepareOptions {
+            pairs: vec![(kind, function)],
+        };
+        EngineSnapshot::prepare_with(ontology, corpus, engine_config(flags)?, options)
     };
+    let searcher = snapshot.searcher();
 
     // Warm-up repeats (beyond the reported run) populate the latency
     // histograms so --metrics percentiles are meaningful.
     for _ in 1..repeat {
-        let _ = engine.search(&query, &sets, &prestige, limit);
+        let _ = searcher.query(&query, kind, function, limit);
     }
 
-    let contexts = engine.select_contexts(&query, &sets);
+    let contexts = searcher.select_contexts(&query, searcher.sets(kind));
+    let hits = searcher
+        .query(&query, kind, function, limit)
+        .map_err(|e| e.to_string())?;
     println!("query: {query:?}");
     println!("selected contexts:");
     for (c, score) in &contexts {
         println!(
             "  {:.2}  {} (level {})",
             score,
-            engine.ontology().term(*c).name,
-            engine.ontology().level(*c)
+            searcher.ontology().term(*c).name,
+            searcher.ontology().level(*c)
         );
     }
-    let hits = engine.search(&query, &sets, &prestige, limit);
     println!("\ntop {} results:", hits.len());
     for (rank, h) in hits.iter().enumerate() {
-        let p = engine.corpus().paper(h.paper);
+        let p = searcher.corpus().paper(h.paper);
         println!(
             "  {:>2}. R={:.3} (prestige {:.3}, match {:.3})  {}",
             rank + 1,
@@ -913,7 +847,7 @@ fn cmd_search(flags: &Flags) -> Result<(), String> {
             h.matching,
             p.title
         );
-        println!("      {}", engine.snippet(h.paper, &query));
+        println!("      {}", searcher.snippet(h.paper, &query));
     }
     if obs::enabled() {
         let snap = obs::snapshot();

@@ -2,8 +2,8 @@
 //! (Ratprasartporn et al., ICDE 2007).
 //!
 //! Re-exports every workspace crate and provides [`demo`] — a one-call
-//! builder of a synthetic ontology + corpus + engine used by the
-//! examples and integration tests.
+//! builder of a synthetic ontology + corpus + prepared snapshot used by
+//! the examples and integration tests.
 
 pub extern crate bench;
 pub use citegraph;
@@ -18,17 +18,17 @@ pub use textproc;
 /// Convenience builders for a ready-to-search demo setup.
 ///
 /// ```
-/// use litsearch::context_search::ScoreFunction;
-/// use litsearch::demo::{engine, Scale};
+/// use litsearch::context_search::{ContextSetKind, ScoreFunction};
+/// use litsearch::demo::{snapshot, Scale};
 ///
-/// let engine = engine(Scale::Tiny, 42);
-/// let sets = engine.pattern_context_sets();
-/// let prestige = engine.prestige(&sets, ScoreFunction::Pattern);
-/// let hits = engine.search("biological process", &sets, &prestige, 5);
+/// let searcher = snapshot(Scale::Tiny, 42).searcher();
+/// let hits = searcher
+///     .query("biological process", ContextSetKind::PatternBased, ScoreFunction::Pattern, 5)
+///     .unwrap();
 /// assert!(hits.len() <= 5);
 /// ```
 pub mod demo {
-    use context_search::{ContextSearchEngine, EngineConfig};
+    use context_search::EngineConfig;
     use corpus::CorpusConfig;
     use ontology::GeneratorConfig;
 
@@ -67,14 +67,6 @@ pub mod demo {
         (onto, corp)
     }
 
-    /// Build a complete engine at the given scale.
-    pub fn engine(scale: Scale, seed: u64) -> ContextSearchEngine {
-        let (ocfg, ccfg) = configs(scale, seed);
-        let onto = ontology::generate_ontology(&ocfg);
-        let corp = corpus::generate_corpus(&onto, &ccfg);
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
-    }
-
     /// Prepare a full immutable snapshot (all five standard prestige
     /// tables) at the given scale.
     pub fn snapshot(scale: Scale, seed: u64) -> std::sync::Arc<context_search::EngineSnapshot> {
@@ -87,13 +79,13 @@ pub mod demo {
 
 #[cfg(test)]
 mod tests {
-    use super::demo::{engine, Scale};
+    use super::demo::{snapshot, Scale};
+    use context_search::ContextSetKind;
 
     #[test]
     fn tiny_demo_engine_builds_and_searches() {
-        let e = engine(Scale::Tiny, 42);
-        assert!(e.corpus().len() == 200);
-        let sets = e.pattern_context_sets();
-        assert!(sets.n_contexts() > 10);
+        let s = snapshot(Scale::Tiny, 42);
+        assert!(s.corpus().len() == 200);
+        assert!(s.sets(ContextSetKind::PatternBased).n_contexts() > 10);
     }
 }

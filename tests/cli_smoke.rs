@@ -10,6 +10,44 @@ fn litsearch(args: &[&str]) -> std::process::Output {
         .expect("binary runs")
 }
 
+/// Both files parse to the same context paper sets: kind, contexts,
+/// members, representatives and inheritance.
+fn assert_same_sets(exported: &std::path::Path, snapshot: &std::path::Path) {
+    use litsearch::context_search::persist::context_sets_from_json;
+    let read = |p: &std::path::Path| {
+        context_sets_from_json(&std::fs::read_to_string(p).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", p.display()))
+    };
+    let (a, b) = (read(exported), read(snapshot));
+    assert_eq!(a.kind, b.kind);
+    let contexts: Vec<_> = a.contexts().collect();
+    assert_eq!(contexts, b.contexts().collect::<Vec<_>>());
+    for c in contexts {
+        assert_eq!(a.members(c), b.members(c), "members of {c:?}");
+    }
+    assert_eq!(a.representatives, b.representatives);
+    assert_eq!(a.inherited_from, b.inherited_from);
+}
+
+/// Both files parse to the same prestige table, scores bit for bit.
+fn assert_same_prestige(exported: &std::path::Path, snapshot: &std::path::Path) {
+    use litsearch::context_search::persist::prestige_from_json;
+    let read = |p: &std::path::Path| {
+        prestige_from_json(&std::fs::read_to_string(p).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", p.display()))
+    };
+    let (a, b) = (read(exported), read(snapshot));
+    assert_eq!(a.function, b.function);
+    let contexts: Vec<_> = a.contexts().collect();
+    assert_eq!(contexts, b.contexts().collect::<Vec<_>>());
+    for c in contexts {
+        let ((pa, va), (pb, vb)) = (a.columns(c), b.columns(c));
+        assert_eq!(pa, pb, "papers of {c:?}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(va), bits(vb), "scores of {c:?}");
+    }
+}
+
 #[test]
 fn full_pipeline_through_the_cli() {
     let dir = std::env::temp_dir().join(format!("litsearch_cli_test_{}", std::process::id()));
@@ -109,7 +147,7 @@ fn metrics_flag_writes_telemetry_snapshots() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    // prestige --metrics: engine build + prestige spans, PageRank stats.
+    // prestige --metrics: index build + prestige spans, PageRank stats.
     let prestige_metrics = dir.join("prestige_metrics.json");
     let out = litsearch(&[
         "prestige",
@@ -133,12 +171,7 @@ fn metrics_flag_writes_telemetry_snapshots() {
     );
     let json = std::fs::read_to_string(&prestige_metrics).expect("metrics file written");
     let snap = obs::MetricsSnapshot::from_json(&json).expect("metrics file parses");
-    for name in [
-        "engine.build",
-        "index.build",
-        "engine.prestige",
-        "prestige.citation",
-    ] {
+    for name in ["index.build", "engine.prestige", "prestige.citation"] {
         let span = snap
             .span(name)
             .unwrap_or_else(|| panic!("span {name} missing"));
@@ -389,7 +422,9 @@ fn prepare_then_snapshot_search_through_the_cli() {
         assert!(m.span(name).is_some(), "span {name} missing: {json}");
     }
 
-    // Cold reference via the piecemeal path.
+    // The export commands write the same tables as the snapshot's
+    // same-named files; `search --data` below prepares its pair in
+    // memory and does not read them.
     for args in [
         vec!["assign", "--data", data, "--kind", "pattern"],
         vec![
@@ -405,6 +440,14 @@ fn prepare_then_snapshot_search_through_the_cli() {
         let out = litsearch(&args);
         assert!(out.status.success(), "{:?}", args[0]);
     }
+    assert_same_sets(
+        &dir.join("sets_pattern.json"),
+        &snap_dir.join("sets_pattern.json"),
+    );
+    assert_same_prestige(
+        &dir.join("prestige_pattern_pattern.json"),
+        &snap_dir.join("prestige_pattern_pattern.json"),
+    );
     let cold = litsearch(&[
         "search",
         "--data",
@@ -482,6 +525,73 @@ fn prepare_then_snapshot_search_through_the_cli() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `search --data` on a fresh `generate` output — no `assign` or
+/// `prestige` run first — prepares the requested pair in memory and
+/// prints exactly what `search --snapshot` prints for that pair.
+#[test]
+fn search_data_without_exports_matches_search_snapshot() {
+    let dir = std::env::temp_dir().join(format!("litsearch_cold_warm_{}", std::process::id()));
+    let data = dir.to_str().unwrap();
+    let snap_dir = dir.join("snap");
+    let snap = snap_dir.to_str().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for args in [
+        vec![
+            "generate", "--out", data, "--terms", "80", "--papers", "150", "--seed", "7",
+        ],
+        vec!["prepare", "--data", data, "--out", snap],
+    ] {
+        let out = litsearch(&args);
+        assert!(
+            out.status.success(),
+            "{:?}: {}",
+            args[0],
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    // (pattern, text) scores the pattern sets against the text sets'
+    // representatives, so it needs both sets prepared together.
+    for (kind, function) in [
+        ("pattern", "pattern"),
+        ("pattern", "text"),
+        ("text", "citation"),
+    ] {
+        let search = |source: &str, dir: &str| {
+            let out = litsearch(&[
+                "search",
+                source,
+                dir,
+                "--kind",
+                kind,
+                "--function",
+                function,
+                "--query",
+                "biological process",
+                "--limit",
+                "5",
+            ]);
+            assert!(
+                out.status.success(),
+                "search {source} ({kind}, {function}): {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).expect("utf-8 output")
+        };
+        let cold = search("--data", data);
+        assert!(cold.contains("results"), "{cold}");
+        assert_eq!(
+            cold,
+            search("--snapshot", snap),
+            "({kind}, {function}): --data and --snapshot disagree"
+        );
+    }
+    assert!(!dir.join("sets_pattern.json").exists());
+    assert!(!dir.join("prestige_pattern_pattern.json").exists());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

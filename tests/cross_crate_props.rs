@@ -1,18 +1,15 @@
 //! Property-based integration tests: random small ontologies and
 //! corpora must always produce valid engines, scores, and metrics.
 
-use litsearch::context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use litsearch::context_search::{
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction, Searcher,
+};
 use litsearch::corpus::{generate_corpus, CorpusConfig};
 use litsearch::eval::{separability_sd, top_k_percent_overlap};
 use litsearch::ontology::{generate_ontology, GeneratorConfig};
 use proptest::prelude::*;
 
-fn tiny_engine(
-    ont_seed: u64,
-    corp_seed: u64,
-    n_terms: usize,
-    n_papers: usize,
-) -> ContextSearchEngine {
+fn tiny_engine(ont_seed: u64, corp_seed: u64, n_terms: usize, n_papers: usize) -> Searcher {
     let onto = generate_ontology(&GeneratorConfig {
         n_terms,
         seed: ont_seed,
@@ -28,8 +25,20 @@ fn tiny_engine(
             ..Default::default()
         },
     );
-    ContextSearchEngine::build(onto, corp, EngineConfig::default())
+    let pairs = vec![
+        (PATTERN, ScoreFunction::Citation),
+        (PATTERN, ScoreFunction::Pattern),
+    ];
+    EngineSnapshot::prepare_with(
+        onto,
+        corp,
+        EngineConfig::default(),
+        PrepareOptions { pairs },
+    )
+    .searcher()
 }
+
+const PATTERN: ContextSetKind = ContextSetKind::PatternBased;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -42,7 +51,7 @@ proptest! {
         n_papers in 30usize..80,
     ) {
         let e = tiny_engine(ont_seed, corp_seed, n_terms, n_papers);
-        let sets = e.pattern_context_sets();
+        let sets = e.sets(PATTERN);
         // Every member id is a real paper; sets are sorted and deduped.
         for c in sets.contexts() {
             let members = sets.members(c);
@@ -55,7 +64,7 @@ proptest! {
         }
         // All prestige functions bounded.
         for f in [ScoreFunction::Citation, ScoreFunction::Pattern] {
-            let prestige = e.prestige(&sets, f);
+            let prestige = e.prestige(PATTERN, f).unwrap();
             for c in prestige.contexts() {
                 for &(_, s) in prestige.scores(c).iter() {
                     prop_assert!(s.is_finite() && (0.0..=1.0 + 1e-9).contains(&s));
@@ -71,9 +80,9 @@ proptest! {
         seed in 0u64..500,
     ) {
         let e = tiny_engine(seed, seed + 1, 30, 50);
-        let sets = e.pattern_context_sets();
-        let a = e.prestige(&sets, ScoreFunction::Citation);
-        let b = e.prestige(&sets, ScoreFunction::Pattern);
+        let sets = e.sets(PATTERN);
+        let a = e.prestige(PATTERN, ScoreFunction::Citation).unwrap();
+        let b = e.prestige(PATTERN, ScoreFunction::Pattern).unwrap();
         for c in sets.contexts_with_min_size(5) {
             let pa: Vec<(u32, f64)> = a.scores(c).iter().map(|&(p, s)| (p.0, s)).collect();
             let pb: Vec<(u32, f64)> = b.scores(c).iter().map(|&(p, s)| (p.0, s)).collect();
@@ -90,9 +99,7 @@ proptest! {
         query in "[a-z ]{0,40}",
     ) {
         let e = tiny_engine(seed, seed + 7, 25, 40);
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Pattern);
-        let hits = e.search(&query, &sets, &prestige, 10);
+        let hits = e.query(&query, PATTERN, ScoreFunction::Pattern, 10).unwrap();
         for w in hits.windows(2) {
             prop_assert!(w[0].relevancy >= w[1].relevancy);
         }

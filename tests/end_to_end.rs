@@ -1,34 +1,35 @@
 //! Integration tests spanning every crate: the full pipeline from
 //! ontology generation to ranked context-based search output.
 
-use litsearch::context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use litsearch::context_search::{ContextSetKind, PrestigeScores, ScoreFunction, Searcher};
 use litsearch::corpus::queries::{generate_queries, QueryConfig};
-use litsearch::demo::{configs, engine, Scale};
+use litsearch::demo::{snapshot, Scale};
 
-fn tiny_engine(seed: u64) -> ContextSearchEngine {
-    engine(Scale::Tiny, seed)
+const PATTERN: ContextSetKind = ContextSetKind::PatternBased;
+const TEXT: ContextSetKind = ContextSetKind::TextBased;
+
+fn tiny_engine(seed: u64) -> Searcher {
+    snapshot(Scale::Tiny, seed).searcher()
+}
+
+fn table(e: &Searcher, kind: ContextSetKind, function: ScoreFunction) -> &PrestigeScores {
+    e.prestige(kind, function)
+        .expect("the demo snapshot prepares every standard pair")
 }
 
 #[test]
 fn pipeline_is_deterministic_end_to_end() {
-    let (ocfg, ccfg) = configs(Scale::Tiny, 5);
-    let build = || {
-        let onto = litsearch::ontology::generate_ontology(&ocfg);
-        let corp = litsearch::corpus::generate_corpus(&onto, &ccfg);
-        ContextSearchEngine::build(onto, corp, EngineConfig::default())
-    };
-    let (e1, e2) = (build(), build());
-    let s1 = e1.pattern_context_sets();
-    let s2 = e2.pattern_context_sets();
+    let (e1, e2) = (tiny_engine(5), tiny_engine(5));
+    let (s1, s2) = (e1.sets(PATTERN), e2.sets(PATTERN));
     assert_eq!(s1.n_contexts(), s2.n_contexts());
-    let p1 = e1.prestige(&s1, ScoreFunction::Pattern);
-    let p2 = e2.prestige(&s2, ScoreFunction::Pattern);
+    let p1 = table(&e1, PATTERN, ScoreFunction::Pattern);
+    let p2 = table(&e2, PATTERN, ScoreFunction::Pattern);
     for c in s1.contexts() {
         assert_eq!(p1.scores(c), p2.scores(c), "context {c}");
     }
     let q = "membrane transport regulation";
-    let h1 = e1.search(q, &s1, &p1, 10);
-    let h2 = e2.search(q, &s2, &p2, 10);
+    let h1 = e1.query(q, PATTERN, ScoreFunction::Pattern, 10).unwrap();
+    let h2 = e2.query(q, PATTERN, ScoreFunction::Pattern, 10).unwrap();
     assert_eq!(h1.len(), h2.len());
     for (a, b) in h1.iter().zip(&h2) {
         assert_eq!(a.paper, b.paper);
@@ -39,14 +40,12 @@ fn pipeline_is_deterministic_end_to_end() {
 #[test]
 fn all_three_score_functions_produce_valid_scores() {
     let e = tiny_engine(9);
-    let psets = e.pattern_context_sets();
-    let tsets = e.text_context_sets();
-    for (sets, function) in [
-        (&psets, ScoreFunction::Citation),
-        (&psets, ScoreFunction::Pattern),
-        (&tsets, ScoreFunction::Text),
+    for (kind, function) in [
+        (PATTERN, ScoreFunction::Citation),
+        (PATTERN, ScoreFunction::Pattern),
+        (TEXT, ScoreFunction::Text),
     ] {
-        let prestige = e.prestige(sets, function);
+        let prestige = table(&e, kind, function);
         let mut n_scores = 0usize;
         for c in prestige.contexts() {
             for &(p, s) in prestige.scores(c).iter() {
@@ -64,8 +63,8 @@ fn all_three_score_functions_produce_valid_scores() {
 #[test]
 fn hierarchy_propagation_gives_ancestors_at_least_descendant_scores() {
     let e = tiny_engine(13);
-    let sets = e.pattern_context_sets();
-    let prestige = e.prestige(&sets, ScoreFunction::Pattern);
+    let sets = e.sets(PATTERN);
+    let prestige = table(&e, PATTERN, ScoreFunction::Pattern);
     let onto = e.ontology();
     for c in sets.contexts() {
         for &child in onto.children(c) {
@@ -89,10 +88,10 @@ fn citation_scores_tie_more_than_text_scores() {
     // The mechanism behind the paper's separability result: sparse
     // in-context citation graphs produce masses of identical scores.
     let e = tiny_engine(21);
-    let tsets = e.text_context_sets();
-    let citation = e.prestige(&tsets, ScoreFunction::Citation);
-    let text = e.prestige(&tsets, ScoreFunction::Text);
-    let tie_fraction = |p: &litsearch::context_search::PrestigeScores| {
+    let tsets = e.sets(TEXT);
+    let citation = table(&e, TEXT, ScoreFunction::Citation);
+    let text = table(&e, TEXT, ScoreFunction::Text);
+    let tie_fraction = |p: &PrestigeScores| {
         let (mut total, mut distinct) = (0usize, 0usize);
         for c in tsets.contexts_with_min_size(10) {
             let values = p.score_values(c);
@@ -102,8 +101,8 @@ fn citation_scores_tie_more_than_text_scores() {
         }
         1.0 - distinct as f64 / total.max(1) as f64
     };
-    let cit_ties = tie_fraction(&citation);
-    let text_ties = tie_fraction(&text);
+    let cit_ties = tie_fraction(citation);
+    let text_ties = tie_fraction(text);
     assert!(
         cit_ties > text_ties,
         "citation tie fraction {cit_ties:.3} should exceed text {text_ties:.3}"
@@ -113,7 +112,7 @@ fn citation_scores_tie_more_than_text_scores() {
 #[test]
 fn queries_find_their_ground_truth_contexts() {
     let e = tiny_engine(33);
-    let sets = e.pattern_context_sets();
+    let sets = e.sets(PATTERN);
     let queries = generate_queries(
         e.ontology(),
         e.corpus(),
@@ -126,7 +125,7 @@ fn queries_find_their_ground_truth_contexts() {
     assert!(!queries.is_empty());
     let mut hits = 0;
     for q in &queries {
-        let selected = e.select_contexts(&q.text, &sets);
+        let selected = e.select_contexts(&q.text, sets);
         let found = selected.iter().any(|&(c, _)| {
             c == q.mapped_term
                 || e.ontology().is_descendant(c, q.mapped_term)
@@ -172,15 +171,13 @@ fn ac_answer_sets_are_reasonable_ground_truth() {
 #[test]
 fn search_relevancy_ranks_above_pure_matching_for_prestigious_papers() {
     let e = tiny_engine(55);
-    let sets = e.pattern_context_sets();
-    let prestige = e.prestige(&sets, ScoreFunction::Pattern);
     let term = e
         .ontology()
         .term_ids()
         .find(|&t| e.ontology().level(t) == 3)
         .unwrap();
     let q = e.ontology().term(term).name.clone();
-    let hits = e.search(&q, &sets, &prestige, 0);
+    let hits = e.query(&q, PATTERN, ScoreFunction::Pattern, 0).unwrap();
     if hits.len() >= 2 {
         // Relevancy must not equal pure matching order when prestige
         // varies — check that the components actually combine.

@@ -15,17 +15,17 @@ use litsearch::context_search::persist::{
 };
 use litsearch::context_search::search::{relevancy, select_contexts};
 use litsearch::context_search::{
-    ContextPaperSets, ContextSearchEngine, EngineConfig, PrestigeScores, ScoreFunction,
-    SearchResult,
+    ContextPaperSets, ContextSetKind, EngineConfig, PrestigeScores, ScoreFunction, SearchResult,
+    Searcher,
 };
 use litsearch::corpus::PaperId;
-use litsearch::demo::{configs, engine, snapshot, Scale};
+use litsearch::demo::{snapshot, Scale};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 /// The pre-columnar execution algorithm, reference copy.
 fn reference_search(
-    e: &ContextSearchEngine,
+    e: &Searcher,
     sets: &ContextPaperSets,
     prestige: &PrestigeScores,
     query: &str,
@@ -97,7 +97,7 @@ fn assert_bitwise_eq(a: &[SearchResult], b: &[SearchResult], tag: &str) {
 /// A query mix that exercises every execution shape: exact term names
 /// (dense candidate overlap), multi-term paraphrases, an unknown word,
 /// and the empty query.
-fn query_mix(e: &ContextSearchEngine) -> Vec<String> {
+fn query_mix(e: &Searcher) -> Vec<String> {
     let onto = e.ontology();
     let mut queries: Vec<String> = onto
         .term_ids()
@@ -118,22 +118,23 @@ fn query_mix(e: &ContextSearchEngine) -> Vec<String> {
 
 const LIMITS: [usize; 5] = [0, 1, 3, 10, 100];
 
+const PATTERN: ContextSetKind = ContextSetKind::PatternBased;
+
 #[test]
 fn columnar_execution_matches_reference_bit_for_bit() {
     for seed in [9, 40] {
-        let e = engine(Scale::Tiny, seed);
-        let psets = e.pattern_context_sets();
-        let tsets = e.text_context_sets();
-        for (sets, function, tag) in [
-            (&psets, ScoreFunction::Pattern, "pattern/pattern"),
-            (&psets, ScoreFunction::Citation, "pattern/citation"),
-            (&tsets, ScoreFunction::Text, "text/text"),
+        let e = snapshot(Scale::Tiny, seed).searcher();
+        for (kind, function, tag) in [
+            (PATTERN, ScoreFunction::Pattern, "pattern/pattern"),
+            (PATTERN, ScoreFunction::Citation, "pattern/citation"),
+            (ContextSetKind::TextBased, ScoreFunction::Text, "text/text"),
         ] {
-            let prestige = e.prestige(sets, function);
+            let sets = e.sets(kind);
+            let prestige = e.prestige(kind, function).expect("standard pair");
             for q in query_mix(&e) {
                 for limit in LIMITS {
-                    let columnar = e.search(&q, sets, &prestige, limit);
-                    let reference = reference_search(&e, sets, &prestige, &q, limit);
+                    let columnar = e.query(&q, kind, function, limit).expect("standard pair");
+                    let reference = reference_search(&e, sets, prestige, &q, limit);
                     assert_bitwise_eq(
                         &columnar,
                         &reference,
@@ -149,24 +150,23 @@ fn columnar_execution_matches_reference_bit_for_bit() {
 fn columnar_execution_is_identical_across_8_threads() {
     // Each thread has its own scratch pool; results must not depend on
     // which thread (or how warm a scratch) executes the query.
-    let e = engine(Scale::Tiny, 9);
-    let sets = e.pattern_context_sets();
-    let prestige = e.prestige(&sets, ScoreFunction::Pattern);
+    let e = snapshot(Scale::Tiny, 9).searcher();
+    let sets = e.sets(PATTERN);
+    let prestige = e.prestige(PATTERN, ScoreFunction::Pattern).unwrap();
     let queries = query_mix(&e);
     let reference: Vec<Vec<SearchResult>> = queries
         .iter()
-        .map(|q| reference_search(&e, &sets, &prestige, q, 10))
+        .map(|q| reference_search(&e, sets, prestige, q, 10))
         .collect();
     std::thread::scope(|scope| {
         for worker in 0..8 {
-            let (e, sets, prestige, queries, reference) =
-                (&e, &sets, &prestige, &queries, &reference);
+            let (e, queries, reference) = (&e, &queries, &reference);
             scope.spawn(move || {
                 // Interleave repeats so scratch reuse (epoch bumping)
                 // is exercised against every query shape.
                 for round in 0..3 {
                     for (q, want) in queries.iter().zip(reference) {
-                        let got = e.search(q, sets, prestige, 10);
+                        let got = e.query(q, PATTERN, ScoreFunction::Pattern, 10).unwrap();
                         assert_bitwise_eq(
                             &got,
                             want,
@@ -187,12 +187,9 @@ fn warm_snapshots_v2_and_v1_match_the_cold_reference() {
     let _ = std::fs::remove_dir_all(&dir);
     save_snapshot(&snap, &dir).expect("save");
 
-    // The same (ontology, corpus, config) built cold drives the
-    // reference implementation.
-    let (ocfg, ccfg) = configs(Scale::Tiny, seed);
-    let onto = litsearch::ontology::generate_ontology(&ocfg);
-    let corp = litsearch::corpus::generate_corpus(&onto, &ccfg);
-    let e = ContextSearchEngine::build(onto, corp, EngineConfig::default());
+    // The cold, never-persisted snapshot drives the reference
+    // implementation.
+    let e = snap.searcher();
 
     let v2 = load_snapshot(&dir, EngineConfig::default()).expect("v2 load");
 
@@ -227,30 +224,12 @@ fn warm_snapshots_v2_and_v1_match_the_cold_reference() {
     let v1 = load_snapshot(&dir, EngineConfig::default()).expect("v1 load");
 
     let (sv2, sv1) = (v2.searcher(), v1.searcher());
-    let text_sets = e.text_context_sets();
     for (kind, function) in snap.pairs() {
-        let sets = match kind {
-            litsearch::context_search::ContextSetKind::TextBased => e.text_context_sets(),
-            litsearch::context_search::ContextSetKind::PatternBased => e.pattern_context_sets(),
-        };
-        // Mirror the prepare plan: the (pattern, text) table is scored
-        // over a view of the pattern sets carrying the text set's
-        // representatives (membership is identical, so propagation over
-        // the view matches prepare's propagation over the plain set).
-        let prestige = if (kind, function)
-            == (
-                litsearch::context_search::ContextSetKind::PatternBased,
-                ScoreFunction::Text,
-            ) {
-            let mut view = sets.clone();
-            view.representatives = text_sets.representatives.clone();
-            e.prestige(&view, function)
-        } else {
-            e.prestige(&sets, function)
-        };
+        let sets = e.sets(kind);
+        let prestige = e.prestige(kind, function).expect("prepared pair");
         for q in query_mix(&e) {
             for limit in [0usize, 10] {
-                let want = reference_search(&e, &sets, &prestige, &q, limit);
+                let want = reference_search(&e, sets, prestige, &q, limit);
                 let got_v2 = sv2.query(&q, kind, function, limit).expect("v2 query");
                 let got_v1 = sv1.query(&q, kind, function, limit).expect("v1 query");
                 let tag = format!(
@@ -266,15 +245,9 @@ fn warm_snapshots_v2_and_v1_match_the_cold_reference() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-fn shared_engine() -> &'static (ContextSearchEngine, ContextPaperSets, PrestigeScores) {
-    static CELL: std::sync::OnceLock<(ContextSearchEngine, ContextPaperSets, PrestigeScores)> =
-        std::sync::OnceLock::new();
-    CELL.get_or_init(|| {
-        let e = engine(Scale::Tiny, 17);
-        let sets = e.pattern_context_sets();
-        let prestige = e.prestige(&sets, ScoreFunction::Pattern);
-        (e, sets, prestige)
-    })
+fn shared_engine() -> &'static Searcher {
+    static CELL: std::sync::OnceLock<Searcher> = std::sync::OnceLock::new();
+    CELL.get_or_init(|| snapshot(Scale::Tiny, 17).searcher())
 }
 
 proptest! {
@@ -290,9 +263,9 @@ proptest! {
         query in "[a-z ]{2,30}",
         limit in 1usize..40,
     ) {
-        let (e, sets, prestige) = shared_engine();
-        let full = e.search(&query, sets, prestige, 0);
-        let bounded = e.search(&query, sets, prestige, limit);
+        let e = shared_engine();
+        let full = e.query(&query, PATTERN, ScoreFunction::Pattern, 0).unwrap();
+        let bounded = e.query(&query, PATTERN, ScoreFunction::Pattern, limit).unwrap();
         prop_assert_eq!(bounded.len(), full.len().min(limit));
         for (i, (x, y)) in bounded.iter().zip(&full).enumerate() {
             prop_assert_eq!(x.paper, y.paper, "rank {} of query {:?}", i, &query);

@@ -1,7 +1,9 @@
 //! Cross-crate contract tests: generated artifacts must survive the
 //! exchange formats (OBO, MEDLINE, JSON) and still drive the engine.
 
-use litsearch::context_search::{ContextSearchEngine, EngineConfig, ScoreFunction};
+use litsearch::context_search::{
+    ContextSetKind, EngineConfig, EngineSnapshot, PrepareOptions, ScoreFunction, Searcher,
+};
 use litsearch::corpus::medline::{parse_medline, write_medline};
 use litsearch::corpus::{generate_corpus, Corpus, CorpusConfig};
 use litsearch::ontology::export::subontology;
@@ -27,6 +29,18 @@ fn small_corpus(onto: &litsearch::ontology::Ontology) -> Corpus {
             ..Default::default()
         },
     )
+}
+
+/// A searcher over the pattern-based paper sets with pattern prestige.
+fn pattern_searcher(onto: litsearch::ontology::Ontology, corpus: Corpus) -> Searcher {
+    let pairs = vec![(ContextSetKind::PatternBased, ScoreFunction::Pattern)];
+    EngineSnapshot::prepare_with(
+        onto,
+        corpus,
+        EngineConfig::default(),
+        PrepareOptions { pairs },
+    )
+    .searcher()
 }
 
 #[test]
@@ -93,21 +107,22 @@ fn engine_runs_on_medline_imported_corpus() {
         Default::default(),
         &term_names,
     );
-    let engine = ContextSearchEngine::build(onto, rebuilt, EngineConfig::default());
+    let engine = pattern_searcher(onto, rebuilt);
     // Text sets need evidence → none; pattern sets still work from the
     // term names alone.
-    let tsets = engine.text_context_sets();
+    let tsets = engine.sets(ContextSetKind::TextBased);
     assert_eq!(tsets.n_contexts(), 0, "no evidence ⇒ no text contexts");
-    let psets = engine.pattern_context_sets();
+    let psets = engine.sets(ContextSetKind::PatternBased);
     assert!(psets.n_contexts() > 0, "patterns need no evidence");
-    let prestige = engine.prestige(&psets, ScoreFunction::Pattern);
     let term = engine
         .ontology()
         .term_ids()
         .find(|&t| engine.ontology().level(t) == 3)
         .unwrap();
     let q = engine.ontology().term(term).name.clone();
-    let hits = engine.search(&q, &psets, &prestige, 5);
+    let hits = engine
+        .query(&q, ContextSetKind::PatternBased, ScoreFunction::Pattern, 5)
+        .unwrap();
     assert!(!hits.is_empty(), "search works on imported data");
 }
 
@@ -119,10 +134,10 @@ fn corpus_json_round_trip_preserves_search_behavior() {
     let json = corpus.to_json(&term_names);
     let reloaded = Corpus::from_json(&json).unwrap();
 
-    let e1 = ContextSearchEngine::build(onto.clone(), corpus, EngineConfig::default());
-    let e2 = ContextSearchEngine::build(onto, reloaded, EngineConfig::default());
-    let s1 = e1.pattern_context_sets();
-    let s2 = e2.pattern_context_sets();
+    let e1 = pattern_searcher(onto.clone(), corpus);
+    let e2 = pattern_searcher(onto, reloaded);
+    let s1 = e1.sets(ContextSetKind::PatternBased);
+    let s2 = e2.sets(ContextSetKind::PatternBased);
     assert_eq!(s1.n_contexts(), s2.n_contexts());
     for c in s1.contexts() {
         assert_eq!(s1.members(c), s2.members(c), "context {c}");
@@ -151,8 +166,8 @@ fn subontology_supports_branch_scale_experiments() {
             ..Default::default()
         },
     );
-    let engine = ContextSearchEngine::build(sub, corpus, EngineConfig::default());
-    let sets = engine.pattern_context_sets();
+    let engine = pattern_searcher(sub, corpus);
+    let sets = engine.sets(ContextSetKind::PatternBased);
     assert!(sets.n_contexts() > 0);
     // Every mapped id round-trips to a valid original term.
     for &old in &mapping {
